@@ -1,18 +1,22 @@
 """Workloads, timed steps, output checks and metrics of the enspost benchmark.
 
-Every workload is generated from the seed: a synthetic season from
-``synth.default_spec(seed)``, optionally widened and gapped, written to CSV
-with ``ingest.save_dataset``. The program receives only those CSVs and its
-config, through the public API (``experiment.run_experiment`` or
-``cli.main``).
+Every workload is generated from the seed: a few synthetic seasons, season
+j from ``synth.default_spec(1000 * seed + j)``, optionally widened and
+gapped, written to CSV with ``ingest.save_dataset``. The program receives
+only those CSVs and its config, through the public API
+(``experiment.run_experiment`` or ``cli.main``).
 
 The timed part runs steps until ``seconds`` of program calls have passed.
-On the experiment workloads a step is one ``run_experiment`` call on a
-dataset holding a 25-day training window and the next few target days; the
-steps walk through the season block by block. On ``cli-day`` a step is one
-fit -> predict -> sample -> verify chain for each of three combos on one
-target day, so every run does the same mix of chains. A unit run twice must
-reproduce its output bytes; a run that repeats none reruns one unit untimed.
+Step k works on season k mod the number of seasons, so one run averages
+over seasons whose fits converge at different speeds. On the experiment
+workloads a step is one ``run_experiment`` call on a dataset holding a
+25-day training window and the next few target days; each season is walked
+block by block. On ``cli-day`` a step is one fit -> predict -> sample ->
+verify chain for each of three combos on one target day of the season, so
+every step does the same mix of chains. A unit run twice must reproduce
+its output bytes: every run also sets up and reruns its cheapest unit in a
+child process with another hash seed (``child.py``). Set-up time is the
+median of the set-ups of the run and of its two children.
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ import hashlib
 import io
 import json
 import math
+import os
 import resource
 import shutil
 import statistics
+import subprocess
+import sys
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -43,7 +50,8 @@ THRESHOLDS = (14.0, 18.0, 22.0)
 NOMINAL_COVERAGE = 19.0 / 21.0
 SKILL_SE = 3.0  # standard errors of the daily scores a skill check allows
 COVERAGE_SLACK = 0.02
-SETUP_SAVES = 3  # datasets saved during set-up; setup_s takes their median
+CHILD = Path(__file__).resolve().parent / "child.py"
+CHILD_TIMEOUT = 120.0  # seconds a child set-up and rerun may take
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,8 @@ class Workload:
     stations: int = 100
     members: int = 20
     fields: int = 10000
-    days: int = 1  # target days per experiment dataset or per cli step
+    days: int = 1  # target days per experiment dataset
+    seasons: int = 1  # seasons generated from the seed; step k uses season k mod seasons
     member_gap: float = 0.0  # share of member values blanked
     obs_gap: float = 0.0  # share of stations per day whose observation is blanked
 
@@ -63,13 +72,13 @@ class Workload:
 WORKLOADS = {w.name: w for w in (
     Workload(
         "desk-gaussian",
-        "acceptance season with the Gaussian combos: ngr BFGS fits, GRF sampling and field scoring carry it; no bma or mixture code runs",
-        "experiment", ("ngr+", "ngr+/grf", "ngr+/ecc", "ngrc", "ngrc/grf"), days=5,
+        "acceptance-size seasons with the Gaussian combos: ngr BFGS fits, GRF sampling and field scoring carry it; no bma or mixture code runs",
+        "experiment", ("ngr+", "ngr+/grf", "ngr+/ecc", "ngrc", "ngrc/grf"), days=5, seasons=8,
     ),
     Workload(
         "desk-mixture",
-        "same season with the bma combos: EM fits, mixture quantile bisection and per-member variograms carry it; no ngr code runs",
-        "experiment", ("bma", "bma/ecc", "bma/spatial-bma"), days=2,
+        "same seasons with the bma combos: EM fits, mixture quantile bisection and per-member variograms carry it; no ngr code runs",
+        "experiment", ("bma", "bma/ecc", "bma/spatial-bma"), days=2, seasons=8,
     ),
     Workload(
         "wide-gaps",
@@ -79,15 +88,15 @@ WORKLOADS = {w.name: w for w in (
     ),
     Workload(
         "cli-day",
-        "operational days through the CLI, three chains a day: each subcommand reloads the CSVs and sample writes a 1M-row fields file that verify parses",
-        "cli", ("ngr+/grf", "ngrc/ecc", "bma/spatial-bma"),
+        "operational days through the CLI, three chains a day: each subcommand reloads the CSVs and sample writes a 200k-row fields file that verify parses",
+        "cli", ("ngr+/grf", "ngrc/ecc", "bma/spatial-bma"), fields=2000, seasons=4,
     ),
 )}
 
 
 def tiny(wl: Workload) -> Workload:
     """The same workload at smoke-test size."""
-    return replace(wl, stations=12, members=5, fields=200, days=min(wl.days, 2))
+    return replace(wl, stations=12, members=5, fields=200, days=min(wl.days, 2), seasons=min(wl.seasons, 2))
 
 
 def _safe(label: str) -> str:
@@ -103,34 +112,45 @@ class Context:
     wl: Workload
     seed: int
     work: Path
-    data: EnsembleDataset  # the generated, gapped season
+    seasons: list  # the generated, gapped seasons (EnsembleDataset)
     setup: dict  # seconds of each set-up step
     gaps: dict  # realised gap rates
-    saved: dict = field(default_factory=dict)  # block index -> dataset dir
+    saved: dict = field(default_factory=dict)  # (season, block) -> (dataset dir, seconds to save)
+
+    def season_seed(self, j: int) -> int:
+        return 1000 * self.seed + j
+
+    def place(self, k: int) -> tuple:
+        """Season and block of step k; cli-day has one block per season."""
+        n = len(self.seasons)
+        return k % n, (k // n) % self.n_blocks if self.wl.kind == "experiment" else 0
 
     @property
     def n_blocks(self) -> int:
-        return (self.data.n_days - WINDOW) // self.wl.days
+        return (self.seasons[0].n_days - WINDOW) // self.wl.days
 
-    def block_days(self, k: int) -> list:
-        t = WINDOW + (k % self.n_blocks) * self.wl.days
-        return list(self.data.days[t: t + self.wl.days])
+    def block_days(self, j: int, b: int) -> list:
+        t = WINDOW + b * self.wl.days
+        return list(self.seasons[j].days[t: t + self.wl.days])
 
-    def block_dir(self, k: int) -> Path:
-        """Directory of experiment block k, saved on first use."""
-        k %= self.n_blocks
-        if k not in self.saved:
-            t = WINDOW + k * self.wl.days
-            lo, hi = t - WINDOW, t + self.wl.days
-            d = self.data
-            block = EnsembleDataset(d.stations, d.days[lo:hi], d.forecasts[lo:hi], d.observations[lo:hi])
-            self.saved[k] = save(block, self.work / "data" / f"block{k}")
-        return self.saved[k][0]
+    def block_dir(self, j: int, b: int) -> Path:
+        """Directory of block b of season j, saved on first use.
 
-    @property
-    def cli_days(self) -> list:
-        t = WINDOW + self.seed % (self.data.n_days - WINDOW - self.wl.days + 1)
-        return list(self.data.days[t: t + self.wl.days])
+        An experiment block holds the training window and its target days;
+        on cli-day the one block is the whole season.
+        """
+        if (j, b) not in self.saved:
+            d = self.seasons[j]
+            if self.wl.kind == "experiment":
+                t = WINDOW + b * self.wl.days
+                lo, hi = t - WINDOW, t + self.wl.days
+                d = EnsembleDataset(d.stations, d.days[lo:hi], d.forecasts[lo:hi], d.observations[lo:hi])
+            self.saved[j, b] = save(d, self.work / "data" / f"season{j}-block{b}")
+        return self.saved[j, b][0]
+
+    def cli_day(self, j: int) -> str:
+        d = self.seasons[j]
+        return d.days[WINDOW + self.seed % (d.n_days - WINDOW)]
 
 
 def inject_gaps(data: EnsembleDataset, wl: Workload, seed: int) -> tuple[EnsembleDataset, dict]:
@@ -162,22 +182,25 @@ def save(data: EnsembleDataset, d: Path) -> tuple[Path, float]:
 
 
 def set_up(wl: Workload, seed: int, work: Path, tracer=None) -> Context:
-    """Generate the season, blank gaps, and save the first datasets."""
+    """Generate the seasons, blank gaps, and save the first dataset.
+
+    Later datasets are saved before the step that needs them, outside the
+    timed calls and outside set-up time.
+    """
     if tracer is not None:
         tracer.run_id = "setup"
+    ctx = Context(wl, seed, work, [], {}, {})
     t0 = time.perf_counter()
-    data = synth.generate(synth.default_spec(seed, n_stations=wl.stations, n_members=wl.members))
+    seasons = [synth.generate(synth.default_spec(ctx.season_seed(j), n_stations=wl.stations, n_members=wl.members))
+               for j in range(wl.seasons)]
     t1 = time.perf_counter()
-    data, gaps = inject_gaps(data, wl, seed)
+    gapped = [inject_gaps(d, wl, ctx.season_seed(j)) for j, d in enumerate(seasons)]
     t2 = time.perf_counter()
-    ctx = Context(wl, seed, work, data, {"generate_s": t1 - t0, "gaps_s": t2 - t1}, gaps)
-    if wl.kind == "experiment":
-        for k in range(SETUP_SAVES):
-            ctx.block_dir(k)
-        saves = [ctx.saved[k][1] for k in range(SETUP_SAVES)]
-    else:
-        saves = [save(data, work / "data" / "season")[1] for _ in range(SETUP_SAVES)]
-    ctx.setup["save_s"] = saves
+    ctx.seasons = [d for d, _ in gapped]
+    ctx.gaps = {k: statistics.fmean(g[k] for _, g in gapped) for k in gapped[0][1]}
+    ctx.setup = {"generate_s": t1 - t0, "gaps_s": t2 - t1}
+    ctx.block_dir(0, 0)
+    ctx.setup["save_s"] = ctx.saved[0, 0][1]
     return ctx
 
 
@@ -250,26 +273,26 @@ def check_experiment_output(out: Path, summary: dict, wl: Workload, days: list) 
     return problems
 
 
-def read_daily(path: Path) -> dict:
-    """scores.csv as {(label, score): {date: value}}."""
+def read_daily(path: Path, season: int) -> dict:
+    """scores.csv as {(label, score): {"season/date": value}}."""
     daily: dict = {}
     with open(path) as fh:
         for row in fh.read().splitlines()[1:]:
             date, _, label, score, value = row.split(",")
-            daily.setdefault((label, score), {})[date] = float(value)
+            daily.setdefault((label, score), {})[f"{season}/{date}"] = float(value)
     return daily
 
 
-def experiment_unit(ctx: Context, k: int, run_id: str, tracer=None) -> Unit:
-    """One run_experiment call on dataset block k, checked and digested."""
-    wl, days = ctx.wl, ctx.block_days(k)
+def experiment_unit(ctx: Context, j: int, b: int, run_id: str, tracer=None) -> Unit:
+    """One run_experiment call on block b of season j, checked and digested."""
+    wl, days = ctx.wl, ctx.block_days(j, b)
     out = ctx.work / "out" / run_id.replace("/", "-")
     cfg = experiment.ExperimentConfig(
-        data_dir=str(ctx.block_dir(k)), out_dir=str(out),
+        data_dir=str(ctx.block_dir(j, b)), out_dir=str(out),
         combos=experiment.parse_combos(",".join(wl.combos)),
-        n_field_samples=wl.fields, thresholds=THRESHOLDS, seed=ctx.seed,
+        n_field_samples=wl.fields, thresholds=THRESHOLDS, seed=ctx.season_seed(j),
     )
-    unit = Unit(days[0], [], ops=len(wl.combos) * len(days))
+    unit = Unit(f"{j}/{days[0]}", [], ops=len(wl.combos) * len(days))
     if tracer is not None:
         tracer.run_id = run_id
     t0 = time.perf_counter()
@@ -287,7 +310,7 @@ def experiment_unit(ctx: Context, k: int, run_id: str, tracer=None) -> Unit:
     unit.digest = digest_dir(out)
     unit.scores = summary["methods"]
     if (out / "scores.csv").is_file():
-        unit.daily = read_daily(out / "scores.csv")
+        unit.daily = read_daily(out / "scores.csv", j)
         if not unit.daily or not all(math.isfinite(v) for d in unit.daily.values() for v in d.values()):
             unit.problems.append("scores.csv has no rows or a non-finite value")
     failed = sum(len(set(summary["failed_days"].get(lab, ())) & set(days)) for lab in wl.combos)
@@ -302,9 +325,9 @@ def _count_lines(path: Path) -> int:
         return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
-def cli_unit(ctx: Context, day: str, chain: str, run_id: str, tracer=None) -> Unit:
+def cli_unit(ctx: Context, j: int, chain: str, run_id: str, tracer=None) -> Unit:
     """fit -> predict -> sample -> verify through enspost.cli.main."""
-    wl, data = ctx.wl, str(ctx.work / "data" / "season")
+    wl, data, day = ctx.wl, str(ctx.block_dir(j, 0)), ctx.cli_day(j)
     method, _, mode = chain.partition("/")
     out = ctx.work / "out" / run_id.replace("/", "-")
     out.mkdir(parents=True)
@@ -314,11 +337,11 @@ def cli_unit(ctx: Context, day: str, chain: str, run_id: str, tracer=None) -> Un
                  "--spatial", "none" if mode == "ecc" else mode, "--out", params]),
         ("predict", ["predict", "--data", data, "--params", params, "--out", str(out / "pred.csv")]),
         ("sample", ["sample", "--data", data, "--params", params, "--spatial", mode,
-                    "--n", str(wl.fields), "--seed", str(ctx.seed), "--out", str(fields)]),
+                    "--n", str(wl.fields), "--seed", str(ctx.season_seed(j)), "--out", str(fields)]),
         ("verify", ["verify", "--fields", str(fields), "--data", data, "--day", day,
                     "--out", str(out / "scores")]),
     ]
-    unit = Unit(f"{day} {chain}", [], ops=len(steps))
+    unit = Unit(f"{j}/{day} {chain}", [], ops=len(steps))
     for name, argv in steps:
         if tracer is not None:
             tracer.run_id = f"{run_id}/{name}"
@@ -368,22 +391,57 @@ def check_cli_output(out: Path, wl: Workload, mode: str) -> list:
     return problems
 
 
-def run_step(ctx: Context, k: int, tracer=None) -> list:
-    """Step k: experiment block k, or the three cli chains."""
-    tag = f"s{k}{'t' if tracer is not None else ''}"
+def run_step(ctx: Context, k: int, tracer=None, tag: str = "") -> list:
+    """Step k: one experiment block, or the three cli chains on one day."""
+    j, b = ctx.place(k)
+    tag = f"{tag}{'t' if tracer is not None else 'u'}{k}"
     if ctx.wl.kind == "experiment":
-        return [experiment_unit(ctx, k, f"{tag}/{ctx.block_days(k)[0]}", tracer)]
-    return [cli_unit(ctx, day, chain, f"{tag}/{day}/{_safe(chain)}", tracer)
-            for day in ctx.cli_days for chain in ctx.wl.combos]
+        return [experiment_unit(ctx, j, b, tag, tracer)]
+    return [cli_unit(ctx, j, chain, f"{tag}/{_safe(chain)}", tracer) for chain in ctx.wl.combos]
 
 
-def rerun_unit(ctx: Context, unit: "Unit") -> "Unit":
-    """One more untimed run of a unit, for the byte-identity check."""
+def rerun_unit(ctx: Context, key: str) -> Unit:
+    """One more untimed run of the unit with this key."""
+    season, _, rest = key.partition("/")
+    j = int(season)
     if ctx.wl.kind == "experiment":
-        k = next(k for k in range(ctx.n_blocks) if ctx.block_days(k)[0] == unit.key)
-        return experiment_unit(ctx, k, f"again/{unit.key}")
-    day, chain = unit.key.split(" ")
-    return cli_unit(ctx, day, chain, f"again/{day}/{_safe(chain)}")
+        b = next(b for b in range(ctx.n_blocks) if ctx.block_days(j, b)[0] == rest)
+        return experiment_unit(ctx, j, b, "again")
+    return cli_unit(ctx, j, rest.split(" ")[1], "again")
+
+
+# ---------------------------------------------------------------------------
+# child processes
+
+
+def child(spec: dict, work: Path, import_s: float) -> dict:
+    """Body of child.py: set up from the spec, and rerun one unit if named."""
+    wl = Workload(**{**spec["workload"], "combos": tuple(spec["workload"]["combos"])})
+    ctx = set_up(wl, spec["seed"], work)
+    out = {"setup_s": import_s + setup_seconds(ctx), "digest": None, "problems": []}
+    if spec["unit"] is not None:
+        unit = rerun_unit(ctx, spec["unit"])
+        out["digest"], out["problems"] = unit.digest, unit.problems
+    return out
+
+
+def spawn(wl: Workload, seed: int, key: Optional[str], work: Path) -> dict:
+    """Run child.py and return what it printed.
+
+    The child gets another hash seed than this process, so set or dict
+    order that leaks into the outputs makes the digests differ.
+    """
+    spec = json.dumps({"workload": asdict(wl), "seed": seed, "unit": key})
+    env = dict(os.environ, PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0")
+    try:
+        proc = subprocess.run([sys.executable, str(CHILD), spec, str(work)], env=env,
+                              capture_output=True, text=True, timeout=CHILD_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return {"setup_s": None, "digest": None, "problems": [f"child timed out after {CHILD_TIMEOUT:.0f} s"]}
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-1:] or [""]
+        return {"setup_s": None, "digest": None, "problems": [f"child exited {proc.returncode}: {tail[0]}"]}
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +470,13 @@ def _stderr(values: list) -> float:
 def check_skill(units: list, wl: Workload) -> list:
     """Postprocessing beats raw; interval coverage is near nominal.
 
-    Scores are pooled per target day over the run. Daily scores share a
-    spatially correlated error, so postprocessing loses to raw on about one
-    day in five at the reference commit: a method fails only when its mean
-    daily difference to raw is worse by more than SKILL_SE standard errors
-    (or worse at all, with fewer than three days). Coverage fails when its
-    mean is off nominal by more than SKILL_SE standard errors plus a slack.
+    Scores are pooled per season and target day over the run. Daily scores
+    share a spatially correlated error, so postprocessing loses to raw on
+    about one day in five at the reference commit: a method fails only when
+    its mean daily difference to raw is worse by more than SKILL_SE standard
+    errors (or worse at all, with fewer than three days). Coverage fails
+    when its mean is off nominal by more than SKILL_SE standard errors plus
+    a slack.
     """
     if wl.kind != "experiment":
         return []
@@ -454,9 +513,10 @@ class RunResult:
     ctx: Context
     units: list  # timed units, in order
     problems: list
+    setup_samples: list  # seconds of the run's own set-up and of its children's
     tracer: Optional[object] = None
     steps: int = 0
-    untraced: list = field(default_factory=list)  # step 0 run without the tracer
+    overhead_s: float = 0.0  # traced minus untraced seconds of step 0, both warm
 
     @property
     def attempted(self) -> int:
@@ -467,12 +527,17 @@ class RunResult:
         return self.attempted if self.problems else sum(u.failed for u in self.units)
 
 
-def run(wl: Workload, seed: int, seconds: float, trace: bool, work: Path) -> RunResult:
+def setup_seconds(ctx: Context) -> float:
+    return sum(ctx.setup.values())
+
+
+def run(wl: Workload, seed: int, seconds: float, trace: bool, work: Path, import_s: float = 0.0) -> RunResult:
     """Set up, then run steps until `seconds` of program calls have passed.
 
-    With `trace`, step 0 runs once untraced before the traced steps: the
-    pair gives the tracing overhead and checks that tracing leaves the
-    outputs alone.
+    Two children then set up again, and one of them reruns the cheapest
+    unit. With `trace`, step 0 first runs twice untraced: once to warm up,
+    once as the reference the traced step 0 is compared with for the
+    tracing overhead. Its outputs must match those of the traced run.
     """
     tracer = tracer_mod.Tracer() if trace else None
     if tracer is not None:
@@ -481,13 +546,14 @@ def run(wl: Workload, seed: int, seconds: float, trace: bool, work: Path) -> Run
         tracer.counts.clear()
     else:
         ctx = set_up(wl, seed, work)
-    untraced = run_step(ctx, 0) if tracer is not None else []
+    extra = []
+    if tracer is not None:
+        extra = run_step(ctx, 0, tag="warm") + run_step(ctx, 0)
     units: list = []
     elapsed, k = 0.0, 0
     while k == 0 or elapsed < seconds:
+        ctx.block_dir(*ctx.place(k))  # saving is neither set-up nor part of the step
         if tracer is not None:
-            if wl.kind == "experiment":
-                ctx.block_dir(k)  # a save belongs to set-up, not to the traced step
             with tracer:
                 step = run_step(ctx, k, tracer)
         else:
@@ -495,13 +561,19 @@ def run(wl: Workload, seed: int, seconds: float, trace: bool, work: Path) -> Run
         units += step
         elapsed += sum(sum(u.calls) for u in step)
         k += 1
-    extra = untraced
-    if not extra and len({u.key for u in units}) == len(units):
-        extra = [rerun_unit(ctx, min(units, key=lambda u: sum(u.calls)))]
+    overhead = 0.0
+    if tracer is not None:
+        n0 = len(extra) // 2
+        overhead = sum(sum(u.calls) for u in units[:n0]) - sum(sum(u.calls) for u in extra[n0:])
+    cheapest = min(units, key=lambda u: sum(u.calls)).key
+    kids = [spawn(wl, seed, None, work / "child-setup"), spawn(wl, seed, cheapest, work / "child-rerun")]
+    extra += [Unit(cheapest, [], ops=0, digest=kids[1]["digest"] or "")]
     problems = [f"{u.key}: {p}" for u in extra + units for p in u.problems]
+    problems += [f"child: {p}" for kid in kids for p in kid["problems"]]
     problems += check_repeats(extra + units)
     problems += check_skill(units, wl)
-    return RunResult(ctx, units, problems, tracer, k, untraced)
+    samples = [import_s + setup_seconds(ctx)] + [kid["setup_s"] for kid in kids if kid["setup_s"] is not None]
+    return RunResult(ctx, units, problems, samples, tracer, k, overhead)
 
 
 END_TO_END = {
@@ -514,7 +586,7 @@ END_TO_END = {
 }
 
 
-def end_to_end(res: RunResult, import_s: float) -> dict:
+def end_to_end(res: RunResult) -> dict:
     """Throughput over the timed calls; latency of one program call.
 
     A request is one run_experiment call (one dataset of a few target days)
@@ -523,12 +595,11 @@ def end_to_end(res: RunResult, import_s: float) -> dict:
     timed = sum(sum(u.calls) for u in res.units)
     work = 0 if res.problems else sum(u.work for u in res.units)
     requests = [c for u in res.units for c in u.calls]
-    s = res.ctx.setup
     values = {
         "station_days_per_s": work / timed,
         "request_s.p50": float(np.percentile(requests, 50)),
         "request_s.p90": float(np.percentile(requests, 90)),
-        "setup_s": import_s + s["generate_s"] + s["gaps_s"] + statistics.median(s["save_s"]),
+        "setup_s": statistics.median(res.setup_samples),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "completed_share": 1.0 - res.failed / res.attempted,
     }
@@ -593,8 +664,7 @@ def per_layer(res: RunResult) -> dict:
         "experiment.warnings": counts["experiment.warnings"] / n,
         "experiment.failed_days": counts["experiment.failed_days"] / n,
         "trace.wall_s": wall / n,
-        "trace.overhead_s": sum(sum(u.calls) for u in traced[: len(res.untraced)])
-                            - sum(sum(u.calls) for u in res.untraced),
+        "trace.overhead_s": res.overhead_s,
         "trace.attributed_share": ratio(sum(sec.values()), wall),
         "trace.spans": sum(calls.values()) / n,
     })

@@ -8,7 +8,8 @@ Run from the repository root:
 Workloads: desk-gaussian, desk-mixture, wide-gaps, cli-day (see bench.py).
 enspost is imported from ``src/`` of the checkout holding this directory; it
 is not installed. Inputs are generated from --seed. The timed part runs
-steps until --seconds of program calls have passed. Scratch data, the span
+steps until --seconds of program calls have passed; two child processes
+(``child.py``) then set up again and rerun one unit. Scratch data, the span
 file of a traced run and the run record go under ``.perfbench_work/`` in the
 checkout.
 
@@ -53,19 +54,6 @@ def prepare() -> int:
     return int(os.environ[BLAS_VARS[0]])
 
 
-def probe_s() -> float:
-    """Seconds of a fixed pure-Python loop: how fast the machine runs now.
-
-    Other tenants of a shared machine can slow every run for minutes at a
-    time; the probe before and after the timed part makes that visible.
-    """
-    t = time.perf_counter()
-    total = 0
-    for i in range(1_000_000):
-        total += i * i
-    return time.perf_counter() - t
-
-
 def _commit():
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
@@ -101,12 +89,11 @@ def main(argv=None) -> int:
     base = ROOT / ".perfbench_work"
     tag = f"{wl.name}-s{args.seed}-t{args.trace}"
     work = base / f"{tag}-{os.getpid()}"
-    probe = [probe_s()]
     try:
-        res = bench.run(wl, args.seed, args.seconds, bool(args.trace), work)
+        res = bench.run(wl, args.seed, args.seconds, bool(args.trace), work, import_s)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    probe.append(probe_s())
+    requests = [round(c, 4) for u in res.units for c in u.calls]
 
     record = {
         "workload": wl.name, "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
@@ -114,9 +101,11 @@ def main(argv=None) -> int:
         "python": sys.version.split()[0], "numpy": numpy.__version__, "scipy": scipy.__version__,
         "enspost": enspost.__version__, "commit": _commit(),
         "stations": wl.stations, "members": wl.members, "fields": wl.fields,
+        "seasons": wl.seasons, "days_per_dataset": wl.days,
         "combos": list(wl.combos), **res.ctx.gaps, "steps": res.steps,
         "units": [[u.key, [round(c, 4) for c in u.calls]] for u in res.units],
-        "setup": res.ctx.setup, "import_s": import_s, "probe_s": probe, "problems": res.problems,
+        "requests": len(requests), "setup": res.ctx.setup, "import_s": import_s,
+        "setup_samples": res.setup_samples, "problems": res.problems,
     }
     print("record: " + json.dumps(record, sort_keys=True))
     record["reference"] = bench.reference_entries(res.units)
@@ -131,7 +120,8 @@ def main(argv=None) -> int:
         res.tracer.write(base / f"spans-{tag}.jsonl")
         metrics = bench.per_layer(res)
     else:
-        metrics = bench.end_to_end(res, import_s)
+        print(f"request_s: {len(requests)} samples")
+        metrics = bench.end_to_end(res)
     print(json.dumps({
         "correct": not res.problems,
         "attempted": res.attempted,

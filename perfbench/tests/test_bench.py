@@ -19,16 +19,15 @@ ROOT = Path(__file__).resolve().parents[2]
 @pytest.mark.parametrize("name", sorted(bench.WORKLOADS))
 def test_tiny_workload_runs_and_checks(name, tmp_path):
     wl = bench.tiny(bench.WORKLOADS[name])
-    res = bench.run(wl, seed=1, seconds=1.0, trace=False, work=tmp_path)
+    res = bench.run(wl, seed=1, seconds=1.0, trace=False, work=tmp_path, import_s=0.5)
     assert res.problems == []
     assert res.attempted >= len(wl.combos)
-    metrics = bench.end_to_end(res, import_s=0.5)
+    assert len(res.setup_samples) == 3  # this run's set-up and its two children's
+    metrics = bench.end_to_end(res)
     assert all(v > 0 for v, _ in metrics.values()), metrics
-    if name == "wide-gaps":
-        # every target day misses observations, so both grf combos fail
-        assert metrics["completed_share"][0] == pytest.approx(1 / 3)
-    else:
-        assert res.failed == 0
+    failed_days = sum(u.failed for u in res.units)
+    assert res.failed == failed_days
+    assert metrics["completed_share"][0] == pytest.approx(1 - failed_days / res.attempted)
 
 
 def test_traced_run_restores_every_name(tmp_path):
