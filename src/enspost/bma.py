@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     VARIANCE_FLOOR,
@@ -90,6 +89,22 @@ def _member_rows(data: EnsembleDataset, window: TrainingWindow):
     return F, Y
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) for finite a, by scipy.special.logsumexp's arithmetic.
+
+    The row maximum is taken out of the sum and counted once per tie:
+    log1p(s / m) + log(m) + max, with s the sum of exp(a - max) over the
+    entries below the maximum and m the number of entries equal to it.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    e = np.exp(a - a_max)
+    e[at_max] = 0.0
+    m = at_max.sum(axis=1, dtype=float)
+    s = e.sum(axis=1) / m
+    return np.log1p(s) + np.log(m) + a_max[:, 0]
+
+
 def fit_bma(
     data: EnsembleDataset,
     window: TrainingWindow,
@@ -140,12 +155,13 @@ def fit_bma(
     w = np.full(M, 1.0 / M)
     sigma2 = max(ss_resid / max(n_resid, 1), VARIANCE_FLOOR)
     resid2 = (y[:, None] - mu) ** 2
+    half_resid2 = 0.5 * resid2
     loglik_prev = -np.inf
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
-        log_comp = np.log(np.maximum(w, 1e-300)) - 0.5 * resid2 / sigma2 - 0.5 * math.log(sigma2) - _LOG_SQRT_2PI
-        log_norm = logsumexp(log_comp, axis=1)
+        log_comp = np.log(np.maximum(w, 1e-300)) - half_resid2 / sigma2 - 0.5 * math.log(sigma2) - _LOG_SQRT_2PI
+        log_norm = _logsumexp_rows(log_comp)
         loglik = float(log_norm.sum())
         if loglik < loglik_prev - 1e-8:
             raise RuntimeError(f"EM log-likelihood decreased: {loglik_prev} -> {loglik}")
@@ -273,34 +289,6 @@ def sample_spatial_bma(
         mu_field = bma.a[m] + bma.b[m] * f[:, m]
         fields[rows] = (mu_field[:, None] + sigma * (L @ z)).T
     return ForecastFieldSample(stations.ids, fields, "spatial-bma", seed)
-
-
-# ---------------------------------------------------------------------------
-# vectorized mixture helpers used by the experiment driver
-
-
-def mixture_cdf_rows(w: np.ndarray, means: np.ndarray, sigma: float, x: np.ndarray) -> np.ndarray:
-    """Mixture CDF evaluated row-wise: means (n, M), x (n,)."""
-    from scipy.special import ndtr
-
-    z = (x[:, None] - means) / sigma
-    return ndtr(z) @ w
-
-
-def mixture_quantile_rows(w: np.ndarray, means: np.ndarray, sigma: float, p: float) -> np.ndarray:
-    """Row-wise mixture quantiles by vectorized bisection to 1e-10."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile requires 0 < p < 1")
-    lo = means.min(axis=1) - 12.0 * sigma
-    hi = means.max(axis=1) + 12.0 * sigma
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = mixture_cdf_rows(w, means, sigma, mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= 1e-10:
-            break
-    return 0.5 * (lo + hi)
 
 
 def params_to_json(params: BmaParams, target_day: str, window_days: Sequence[str] = ()) -> dict:

@@ -300,24 +300,18 @@ class MixturePredictive:
         out = (gaussian_pdf(z) / sd) @ self.weights
         return float(out) if out.ndim == 0 else out
 
-    def quantile(self, p: float, tol: float = 1e-10) -> float:
-        """Quantile by bracketed bisection on the mixture CDF."""
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile requires 0 < p < 1, got {p!r}")
-        sd = np.sqrt(self.variances)
-        lo = float(np.min(self.means - 12.0 * sd))
-        hi = float(np.max(self.means + 12.0 * sd))
-        while self.cdf(lo) > p:
-            lo -= (hi - lo)
-        while self.cdf(hi) < p:
-            hi += (hi - lo)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def quantile(self, p, tol: float = 1e-10):
+        """Quantile at a scalar or array of levels, by bisection (see mixture_quantiles)."""
+        p_arr = np.asarray(p, dtype=float)
+        shape = (p_arr.size, self.n_components)
+        out = mixture_quantiles(
+            np.broadcast_to(self.weights, shape),
+            np.broadcast_to(self.means, shape),
+            np.sqrt(self.variances),
+            p_arr.ravel(),
+            tol,
+        )
+        return float(out[0]) if p_arr.ndim == 0 else out.reshape(p_arr.shape)
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -325,6 +319,77 @@ class MixturePredictive:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         comp = rng.choice(self.n_components, size=n, p=self.weights / self.weights.sum())
         return self.means[comp] + np.sqrt(self.variances[comp]) * rng.standard_normal(n)
+
+
+def mixture_quantiles(weights, means, sd, p, tol: float = 1e-10) -> np.ndarray:
+    """Row-wise Gaussian-mixture quantiles by bracketed bisection.
+
+    weights and means are (n, K) component arrays, sd broadcasts to (n, K),
+    and p holds the (n,) levels. Each row starts from the bracket
+    [min(means - 12 sd), max(means + 12 sd)], widens it by its own width
+    until it holds p, then halves it until it is no wider than tol. Rows stop
+    on their own, and each row's CDF is one dot product of its normal CDFs
+    with its weights, so a row's quantile does not depend on the rest of the
+    batch.
+    """
+    w = np.asarray(weights, dtype=float)
+    m = np.asarray(means, dtype=float)
+    sd = np.broadcast_to(np.asarray(sd, dtype=float), m.shape)
+    p = np.asarray(p, dtype=float)
+    if m.ndim != 2 or w.shape != m.shape or p.shape != m.shape[:1]:
+        raise ValueError("weights and means must be (n, K) and p must be (n,)")
+    bad = ~((p > 0.0) & (p < 1.0))
+    if bad.any():
+        raise ValueError(f"quantile requires 0 < p < 1, got {float(p[bad][0])!r}")
+    if not (np.isfinite(m).all() and np.isfinite(sd).all()):
+        raise ValueError("non-finite mixture parameters")
+
+    def cdf(rows, x):
+        z = (x[:, None] - m[rows]) / sd[rows]
+        return np.matmul(ndtr(z)[:, None, :], w[rows][:, :, None])[:, 0, 0]
+
+    lo = (m - 12.0 * sd).min(axis=1)
+    hi = (m + 12.0 * sd).max(axis=1)
+    rows = np.arange(p.size)
+    rows = rows[cdf(rows, lo) > p]
+    while rows.size:
+        lo[rows] -= hi[rows] - lo[rows]
+        rows = rows[cdf(rows, lo[rows]) > p[rows]]
+    rows = np.arange(p.size)
+    rows = rows[cdf(rows, hi) < p]
+    while rows.size:
+        hi[rows] += hi[rows] - lo[rows]
+        if np.isinf(hi[rows]).any():  # weights summing to just under 1 never reach p
+            raise ValueError("quantile level exceeds the mixture's total weight")
+        rows = rows[cdf(rows, hi[rows]) < p[rows]]
+    rows = np.flatnonzero(hi - lo > tol)
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        below = cdf(rows, mid) < p[rows]
+        lo[rows[below]] = mid[below]
+        hi[rows[~below]] = mid[~below]
+        rows = rows[hi[rows] - lo[rows] > tol]
+    return 0.5 * (lo + hi)
+
+
+def mixture_quantile_table(dists: Sequence[MixturePredictive], levels) -> np.ndarray:
+    """Quantiles of each mixture at every level, as a (len(dists), len(levels)) table.
+
+    Mixtures with the same component count share one mixture_quantiles call.
+    """
+    levels = np.asarray(levels, dtype=float).ravel()
+    out = np.empty((len(dists), levels.size))
+    sizes = np.array([d.n_components for d in dists], dtype=int)
+    for k in np.unique(sizes):
+        group = [dists[i] for i in np.flatnonzero(sizes == k)]
+
+        def stack(attr):
+            return np.repeat(np.stack([getattr(d, attr) for d in group]), levels.size, axis=0)
+
+        q = mixture_quantiles(stack("weights"), stack("means"), np.sqrt(stack("variances")),
+                              np.tile(levels, len(group)))
+        out[sizes == k] = q.reshape(len(group), levels.size)
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,39 +9,23 @@ reproduced exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ForecastFieldSample, GaussianPredictive
+from .core import ForecastFieldSample
 
 
-@dataclass(frozen=True)
-class RankPermutation:
-    """Per-station member ranks (1-based) with the tie-break seed on record."""
-
-    ranks: Mapping[str, np.ndarray]
-    tie_seed: Optional[int] = None
-
-    def __post_init__(self):
-        checked = {}
-        for sid, r in dict(self.ranks).items():
-            arr = np.asarray(r, dtype=int)
-            if sorted(arr.tolist()) != list(range(1, arr.size + 1)):
-                raise ValueError(f"ranks at station {sid!r} are not a permutation of 1..M")
-            checked[sid] = arr
-        object.__setattr__(self, "ranks", checked)
+def ecc_levels(m: int) -> np.ndarray:
+    """The M equidistant levels k/(M+1), k = 1..M, ascending."""
+    if m < 1:
+        raise ValueError("member count must be positive")
+    return np.arange(1, m + 1) / (m + 1)
 
 
 def ecc_quantiles(dist, m: int) -> np.ndarray:
     """M equidistant quantiles at levels k/(M+1), k = 1..M, ascending."""
-    if m < 1:
-        raise ValueError("member count must be positive")
-    levels = np.arange(1, m + 1) / (m + 1)
-    if isinstance(dist, GaussianPredictive):
-        return np.asarray(dist.quantile(levels), dtype=float)
-    return np.array([dist.quantile(p) for p in levels])
+    return np.asarray(dist.quantile(ecc_levels(m)), dtype=float)
 
 
 def rank_permutation(raw_members, rng: np.random.Generator) -> np.ndarray:

@@ -91,12 +91,6 @@ def mae_rmse(medians, means, y) -> tuple[float, float]:
     return float(np.abs(medians - y).mean()), float(np.sqrt(((means - y) ** 2).mean()))
 
 
-def mae_rmse_from_dists(dists: Sequence, y) -> tuple[float, float]:
-    medians = [d.median() for d in dists]
-    means = [d.mean for d in dists]
-    return mae_rmse(medians, means, np.asarray(y, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # multivariate scores
 

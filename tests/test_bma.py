@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from enspost.core import EnsembleDataset, MixturePredictive, seeded_rng
+from scipy.special import logsumexp
+
+from enspost.core import EnsembleDataset, MixturePredictive, mixture_quantiles, seeded_rng
 from enspost.bma import (
     BmaParams,
+    _logsumexp_rows,
     fit_bma,
     fit_spatial_bma,
-    mixture_cdf_rows,
-    mixture_quantile_rows,
     params_from_json,
     params_to_json,
     predict_bma,
@@ -138,20 +139,36 @@ class TestMixtureRows:
         w = np.array([0.3, 0.7])
         means = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
         sigma = 1.3
-        x = np.array([0.2, 1.5, -0.3])
-        got = mixture_cdf_rows(w, means, sigma, x)
+        p = np.array([0.2, 0.5, 0.9])
+        got = mixture_quantiles(np.tile(w, (3, 1)), means, sigma, p)
         for i in range(3):
             d = MixturePredictive(w, means[i], np.full(2, sigma**2))
-            assert got[i] == pytest.approx(d.cdf(x[i]), abs=1e-12)
+            assert got[i] == pytest.approx(d.quantile(p[i]), abs=1e-12)
 
     def test_quantile_rows_invert_cdf_rows(self):
         w = np.array([0.5, 0.5])
         means = np.array([[0.0, 4.0], [1.0, 1.5]])
         sigma = 0.9
         for p in (0.1, 0.5, 0.93):
-            q = mixture_quantile_rows(w, means, sigma, p)
-            back = mixture_cdf_rows(w, means, sigma, q)
+            q = mixture_quantiles(np.tile(w, (2, 1)), means, sigma, np.full(2, p))
+            back = [MixturePredictive(w, means[i], np.full(2, sigma**2)).cdf(q[i]) for i in range(2)]
             np.testing.assert_allclose(back, p, atol=1e-9)
+
+
+class TestLogSumExpRows:
+    def test_equals_scipy_bit_for_bit(self):
+        rng = seeded_rng(0, "lse")
+        for k in (1, 2, 5, 20, 33):
+            a = rng.normal(-40.0, 25.0, size=(300, k))
+            assert _logsumexp_rows(a).tolist() == logsumexp(a, axis=1).tolist()
+
+    def test_tied_maxima_equal_scipy(self):
+        rng = seeded_rng(1, "lse-ties")
+        a = np.round(rng.normal(0.0, 2.0, size=(400, 6)))  # integers: many ties at the max
+        a[:50] = -3.5  # whole rows tied
+        a[50:100, 1] = a[50:100, 0] = a[50:100].max(axis=1)
+        assert (np.sum(a == a.max(axis=1, keepdims=True), axis=1) > 1).sum() > 100
+        assert _logsumexp_rows(a).tolist() == logsumexp(a, axis=1).tolist()
 
 
 class TestSpatialBma:

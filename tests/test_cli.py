@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from enspost.bma import params_from_json, predict_bma
 from enspost.cli import load_fields_csv, main
 from enspost.ingest import load_dataset, save_dataset
 from enspost.synth import default_spec, generate
@@ -91,7 +92,7 @@ class TestFitPredictChain:
         table = ScoreTable.read_csv(out / "verify_scores.csv")
         assert len(table.values("grf-spatial", "es")) == 1
 
-    def test_sample_modes_and_provenance(self, workspace):
+    def test_sample_modes_and_provenance(self, workspace, capsys):
         data = workspace / "data"
         cases = {
             ("ngr+", "none"): ("independent", 40),
@@ -106,6 +107,12 @@ class TestFitPredictChain:
                 "fit", "--data", str(data), "--method", method, "--day", "2024-01-18",
                 "--window", "14", "--spatial", fit_spatial, "--out", str(params),
             ]) == 0
+            if method == "bma":
+                # EM stops at its 500-iteration cap on this panel; the fit is
+                # still saved, but marked unconverged and reported on stderr
+                doc = json.loads(params.read_text())
+                assert doc["converged"] is False and doc["n_iter"] == 500
+                assert "stopped after 500 iterations" in capsys.readouterr().err
             fields = workspace / f"{method}-{spatial}.fields.csv"
             assert main([
                 "sample", "--data", str(data), "--params", str(params),
@@ -122,6 +129,22 @@ class TestFitPredictChain:
         for j in range(sample.fields.shape[1]):
             col = np.sort(sample.fields[:, j])
             assert np.all(np.diff(col) >= 0)
+
+    def test_bma_ecc_sample_holds_the_mixture_quantiles(self, workspace, tmp_path):
+        data = workspace / "data"
+        params, fields = tmp_path / "bma.json", tmp_path / "bma-ecc.csv"
+        assert main(["fit", "--data", str(data), "--method", "bma", "--day", "2024-01-18",
+                     "--window", "14", "--out", str(params)]) == 0
+        assert main(["sample", "--data", str(data), "--params", str(params),
+                     "--spatial", "ecc", "--out", str(fields)]) == 0
+        sample = load_fields_csv(fields)
+        d = load_dataset(data / "stations.csv", data / "forecasts.csv", data / "observations.csv")
+        bma = params_from_json(json.loads(params.read_text()))
+        fc = d.forecasts[d.day_index("2024-01-18")]
+        levels = np.arange(1, d.members + 1) / (d.members + 1)
+        for j, sid in enumerate(sample.station_order):
+            dist = predict_bma(bma, fc[d.stations.index(sid)])
+            assert np.sort(sample.fields[:, j]).tolist() == dist.quantile(levels).tolist()
 
     def test_verify_perfect_forecast_scores_zero(self, workspace, tmp_path):
         data = workspace / "data"

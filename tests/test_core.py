@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,8 @@ from enspost.core import (
     gaussian_cdf,
     gaussian_pdf,
     gaussian_quantile,
+    mixture_quantile_table,
+    mixture_quantiles,
     seeded_rng,
 )
 from tests.conftest import make_dataset, make_stations
@@ -165,6 +168,106 @@ class TestMixturePredictive:
 def test_mixture_quantile_cdf_roundtrip(w1, m1, m2, s, p):
     m = MixturePredictive((w1, 1 - w1), (m1, m2), (s * s, s * s))
     assert m.cdf(m.quantile(p)) == pytest.approx(p, abs=1e-8)
+
+
+def scalar_bisection(weights, means, variances, p, tol=1e-10):
+    """The one-level mixture quantile that the batched routine must reproduce bit for bit."""
+    sd = np.sqrt(variances)
+
+    def cdf(x):
+        return ndtr((x - means) / sd) @ weights
+
+    lo = float(np.min(means - 12.0 * sd))
+    hi = float(np.max(means + 12.0 * sd))
+    while cdf(lo) > p:
+        lo -= (hi - lo)
+    while cdf(hi) < p:
+        hi += (hi - lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def random_mixtures(rng, n, k):
+    """n mixtures of k components whose spreads, and so bracket widths, differ."""
+    return [
+        MixturePredictive(
+            rng.dirichlet(np.ones(k)),
+            rng.normal(15.0, rng.uniform(0.01, 40.0), size=k),
+            np.full(k, rng.uniform(0.05, 6.0)),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestMixtureQuantilesExact:
+    LEVELS = np.array([1e-40, 0.3, 0.5, 0.95, 1.0 - 1e-9])
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 33])
+    def test_rows_equal_scalar_bisection(self, k):
+        rng = seeded_rng(k, "exact")
+        dists = random_mixtures(rng, 12, k)
+        p = np.concatenate([self.LEVELS, rng.uniform(0.001, 0.999, size=7)])
+        got = mixture_quantiles(
+            np.stack([d.weights for d in dists]),
+            np.stack([d.means for d in dists]),
+            np.sqrt(np.stack([d.variances for d in dists])),
+            p,
+        )
+        want = [scalar_bisection(d.weights, d.means, d.variances, q) for d, q in zip(dists, p)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 33])
+    def test_method_equals_scalar_bisection(self, k):
+        (d,) = random_mixtures(seeded_rng(k, "method"), 1, k)
+        want = [scalar_bisection(d.weights, d.means, d.variances, q) for q in self.LEVELS]
+        assert [d.quantile(q) for q in self.LEVELS] == want
+        assert isinstance(d.quantile(0.5), float)
+        assert d.quantile(self.LEVELS).tolist() == want
+        assert d.quantile(self.LEVELS.reshape(5, 1)).shape == (5, 1)
+
+    def test_rows_stop_on_their_own(self):
+        # the wide row needs more halvings than the narrow one; stopping both
+        # on a shared test would move the narrow row's quantile
+        w = np.full((2, 2), 0.5)
+        means = np.array([[0.0, 0.1], [0.0, 40.0]])
+        got = mixture_quantiles(w, means, 0.5, np.array([0.3, 0.3]))
+        want = [scalar_bisection(w[i], means[i], np.full(2, 0.25), 0.3) for i in range(2)]
+        assert got.tolist() == want
+
+    def test_bracket_expansion(self):
+        d = MixturePredictive((0.5, 0.5), (0.0, 1.0), (1.0, 1.0))
+        q = d.quantile(1e-40)
+        assert q < float(np.min(d.means - 12.0))  # left the starting bracket
+        assert q == scalar_bisection(d.weights, d.means, d.variances, 1e-40)
+
+    def test_table_groups_mixtures_with_dropped_members(self):
+        rng = seeded_rng(3, "table")
+        dists = [d for k in (5, 3, 5, 4, 3) for d in random_mixtures(rng, 1, k)]
+        levels = [0.05, 0.5, 0.95, 1 / 6, 5 / 6]
+        table = mixture_quantile_table(dists, levels)
+        assert table.shape == (5, 5)
+        for row, d in zip(table, dists):
+            assert row.tolist() == [scalar_bisection(d.weights, d.means, d.variances, q) for q in levels]
+
+    def test_level_above_total_weight_rejected(self):
+        # weights may sum to within 1e-10 of one; a level above their sum
+        # used to widen the bracket forever
+        d = MixturePredictive((0.5, 0.5 - 1e-12), (0.0, 1.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="total weight"):
+            d.quantile(1.0 - 1e-13)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, float("nan")])
+    def test_levels_outside_unit_interval_rejected(self, p):
+        d = MixturePredictive((0.5, 0.5), (0.0, 1.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            d.quantile(p)
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            d.quantile(np.array([0.5, p]))
 
 
 class TestMultivariatePredictive:

@@ -1,8 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from enspost.bma import fit_bma, predict_bma
+from enspost.core import EnsembleDataset, seeded_rng
+from enspost.ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from enspost.experiment import (
     ExperimentConfig,
     combo_label,
@@ -11,9 +15,9 @@ from enspost.experiment import (
     run_experiment,
     validate_combo,
 )
-from enspost.ingest import save_dataset
+from enspost.ingest import rolling_windows, save_dataset
 from enspost.synth import default_spec, generate
-from enspost.verify import ScoreTable
+from enspost.verify import ScoreTable, ds_from_sample, mae_rmse
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +190,45 @@ class TestRunExperiment:
         assert result.n_warnings >= 1
         # the other target days still produced scores
         assert len(result.table.values("bma", "crps")) == 3
+
+    def test_bma_scores_equal_per_station_quantiles(self, tmp_path):
+        # blanked members give mixtures of 3, 4 and 5 components on one day,
+        # so the day's quantile table spans several component counts
+        data = generate(default_spec(5, n_stations=8, n_days=18, n_members=5))
+        fc = np.array(data.forecasts)
+        fc[14:, 1, 0] = np.nan
+        fc[14:, 2, [1, 3]] = np.nan
+        data = EnsembleDataset(data.stations, data.days, fc, data.observations)
+        root = tmp_path / "data"
+        root.mkdir()
+        save_dataset(data, root / "stations.csv", root / "forecasts.csv", root / "observations.csv")
+        cfg = tiny_config(root, tmp_path / "out", combos=(("bma", "none"), ("bma", "ecc")))
+        result = run_experiment(cfg)
+        scores = {(r.date, r.method, r.score): r.value for r in result.table.rows}
+        alpha = 0.5 * (1.0 - cfg.level)
+        windows = rolling_windows(data, cfg.window_length)
+        assert len(windows) == 4
+        for window in windows:
+            day, t = window.target_day, data.day_index(window.target_day)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                params = fit_bma(data, window)
+            dists = [predict_bma(params, fc[t, s]) for s in range(data.n_stations)]
+            y = data.observations[t]
+            lo = np.array([d.quantile(alpha) for d in dists])
+            hi = np.array([d.quantile(1.0 - alpha) for d in dists])
+            mae, _ = mae_rmse([d.median() for d in dists], [d.mean for d in dists], y)
+            assert scores[(day, "bma", "mae")] == mae
+            assert scores[(day, "bma", "pi_width")] == float(np.mean(hi - lo))
+            assert scores[(day, "bma", "pi_coverage")] == float(np.mean((lo <= y) & (y <= hi)))
+            tie_rng = seeded_rng(cfg.seed, f"ties/{day}")
+            perms = []
+            for row in fc[t]:
+                ok = np.isfinite(row)
+                perms.append(rank_permutation(np.where(ok, row, row[ok].mean()), tie_rng))
+            q = np.vstack([ecc_quantiles(d, data.members) for d in dists])
+            fields = ecc_reorder(q, np.vstack(perms), data.stations.ids).fields
+            assert scores[(day, "bma/ecc", "ds")] == ds_from_sample(fields, y)
 
     def test_window_longer_than_dataset_rejected(self, data_dir, tmp_path):
         with pytest.raises(ValueError, match="target day"):
