@@ -95,6 +95,9 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     The row maximum is taken out of the sum and counted once per tie:
     log1p(s / m) + log(m) + max, with s the sum of exp(a - max) over the
     entries below the maximum and m the number of entries equal to it.
+    scipy computes logsumexp this way from release 1.15 on, the lowest
+    release pyproject allows; earlier releases return log(sum(exp(a - max)))
+    + max, which can differ in the last bit.
     """
     a_max = a.max(axis=1, keepdims=True)
     at_max = a == a_max

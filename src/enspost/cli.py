@@ -20,8 +20,8 @@ import numpy as np
 from . import bma as bma_mod
 from . import ngr as ngr_mod
 from . import verify as verify_mod
-from .core import ForecastFieldSample, StationSet, mixture_quantile_table, seeded_rng
-from .ecc import ecc_levels, ecc_quantiles, ecc_reorder, rank_permutation
+from .core import ForecastFieldSample, StationSet, seeded_rng
+from .ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from .experiment import (
     _fit_day_variogram,
     _impute_row,
@@ -107,9 +107,6 @@ def cmd_fit(args) -> int:
     data = _load(args.data)
     window = _window_for(data, args.day, args.window)
     params = _fit_params(data, window, args.method)
-    if args.method == "bma" and not params.converged:
-        print(f"warning: bma EM for {args.day} stopped after {params.n_iter} iterations without converging; "
-              f"saving the unconverged fit to {args.out}", file=sys.stderr)
     doc = _params_doc(params, args.method, window)
     if args.spatial == "grf":
         validate_combo(args.method, "grf")
@@ -173,10 +170,7 @@ def cmd_sample(args) -> int:
         sd = np.array([preds[s].sd for s in act_idx])
         sample = sample_fields(build_spatial_ngr(mu, sd, corr, ids), args.n, rng, seed=args.seed)
     elif args.spatial == "ecc":
-        if method == "bma":
-            q = mixture_quantile_table([preds[s] for s in act_idx], ecc_levels(data.members))
-        else:
-            q = np.vstack([ecc_quantiles(preds[s], data.members) for s in act_idx])
+        q = np.vstack([ecc_quantiles(preds[s], data.members) for s in act_idx])
         tie_rng = seeded_rng(args.seed, f"ties/{day}")
         perms = np.vstack([rank_permutation(_impute_row(fc[s])[0], tie_rng) for s in act_idx])
         sample = ecc_reorder(q, perms, ids, seed=args.seed)

@@ -372,15 +372,19 @@ def mixture_quantiles(weights, means, sd, p, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def mixture_quantile_table(dists: Sequence[MixturePredictive], levels) -> np.ndarray:
-    """Quantiles of each mixture at every level, as a (len(dists), len(levels)) table.
+def quantile_table(dists: Sequence, levels) -> np.ndarray:
+    """Quantiles of each predictive law at every level, as a (len(dists), len(levels)) table.
 
-    Mixtures with the same component count share one mixture_quantiles call.
+    Mixtures with the same component count share one mixture_quantiles call,
+    so a row equals the mixture's own quantile(levels); any other law answers
+    through its quantile(levels).
     """
     levels = np.asarray(levels, dtype=float).ravel()
     out = np.empty((len(dists), levels.size))
-    sizes = np.array([d.n_components for d in dists], dtype=int)
-    for k in np.unique(sizes):
+    sizes = np.array([d.n_components if isinstance(d, MixturePredictive) else 0 for d in dists], dtype=int)
+    for i in np.flatnonzero(sizes == 0):
+        out[i] = dists[i].quantile(levels)
+    for k in np.unique(sizes[sizes > 0]):
         group = [dists[i] for i in np.flatnonzero(sizes == k)]
 
         def stack(attr):

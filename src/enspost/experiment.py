@@ -40,10 +40,10 @@ from .core import (
     ForecastFieldSample,
     GaussianPredictive,
     StationSet,
-    mixture_quantile_table,
+    quantile_table,
     seeded_rng,
 )
-from .ecc import ecc_levels, ecc_quantiles, ecc_reorder, rank_permutation
+from .ecc import ecc_levels, ecc_reorder, rank_permutation
 from .ingest import load_dataset, rolling_windows
 from .spatial import (
     build_correlation_matrix,
@@ -346,7 +346,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             failed[lab].append(day)
 
             preds = {m: _predict_day(m, fits[m], data, t) for m in fits}
-            qtab: dict = {}  # method -> mixture quantile table over its scored stations
 
             # raw-ensemble baseline
             raw_rng = seeded_rng(cfg.seed, f"verify/rank/{day}")
@@ -382,23 +381,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 crps_vals, medians, means_, pits, covs, wids = [], [], [], [], [], []
                 crps_rng = seeded_rng(cfg.seed, f"score/crps/{method}/{day}")
                 alpha = 0.5 * (1.0 - cfg.level)
-                if method == "bma":
-                    # one table a day: interval ends and median, then the ecc levels
-                    levels = [alpha, 0.5, 1.0 - alpha]
-                    if (method, "ecc") in cfg.combos:
-                        levels.extend(ecc_levels(M))
-                    qtab[method] = mixture_quantile_table([pr[s] for s in idx], levels)
-                for i, s in enumerate(idx):
+                bounds = quantile_table([pr[s] for s in idx], [alpha, 0.5, 1.0 - alpha])
+                for s, (lo, med, hi) in zip(idx, bounds.tolist()):
                     dist, y = pr[s], float(obs[s])
                     if isinstance(dist, GaussianPredictive):
                         crps_vals.append(ngr_mod.crps_gaussian(dist, y))
-                        lo, med, hi = dist.quantile(alpha), dist.median(), dist.quantile(1.0 - alpha)
                     else:
                         draws = dist.sample(crps_rng, 2 * cfg.n_pair_samples)
                         crps_vals.append(
                             verify.crps_sample(draws[: cfg.n_pair_samples], draws[cfg.n_pair_samples:], y)
                         )
-                        lo, med, hi = qtab[method][i, :3].tolist()
                     medians.append(med)
                     means_.append(dist.mean)
                     pits.append(verify.pit(dist, y))
@@ -483,10 +475,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         sample = sample_fields(mvp, cfg.n_field_samples, rng)
                         ds_val = verify.dawid_sebastiani(mvp.mu, mvp.covariance(), y_vec)
                     elif spatial_mode == "ecc":
-                        if method in qtab:
-                            q = qtab[method][:, 3:]
-                        else:
-                            q = np.vstack([ecc_quantiles(pr[s], M) for s in act_idx])
+                        q = quantile_table([pr[s] for s in act_idx], ecc_levels(M))
                         tie_rng = seeded_rng(cfg.seed, f"ties/{day}")
                         perms = np.vstack(
                             [rank_permutation(_impute_row(fc[s])[0], tie_rng) for s in act_idx]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from enspost.core import EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
 
@@ -20,6 +21,28 @@ def make_dataset(n_days=30, n_stations=6, n_members=5, *, seed=0, sigma=1.0, bia
     forecasts = base + rng.normal(0.0, 1.0, size=(n_days, n_stations, n_members))
     observations = forecasts.mean(axis=2) + bias + sigma * rng.standard_normal((n_days, n_stations))
     return EnsembleDataset(stations, days, forecasts, observations)
+
+
+def scalar_bisection(weights, means, variances, p, tol=1e-10):
+    """The one-level mixture quantile that the batched routine must reproduce bit for bit."""
+    sd = np.sqrt(variances)
+
+    def cdf(x):
+        return ndtr((x - means) / sd) @ weights
+
+    lo = float(np.min(means - 12.0 * sd))
+    hi = float(np.max(means + 12.0 * sd))
+    while cdf(lo) > p:
+        lo -= (hi - lo)
+    while cdf(hi) < p:
+        hi += (hi - lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def last_window(data, window_length=25):

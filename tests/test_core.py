@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import ndtr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +16,11 @@ from enspost.core import (
     gaussian_cdf,
     gaussian_pdf,
     gaussian_quantile,
-    mixture_quantile_table,
     mixture_quantiles,
+    quantile_table,
     seeded_rng,
 )
-from tests.conftest import make_dataset, make_stations
+from tests.conftest import make_dataset, make_stations, scalar_bisection
 
 # Reference values computed with mpmath at 30 digits.
 Q75 = 0.67448975019608174
@@ -170,28 +169,6 @@ def test_mixture_quantile_cdf_roundtrip(w1, m1, m2, s, p):
     assert m.cdf(m.quantile(p)) == pytest.approx(p, abs=1e-8)
 
 
-def scalar_bisection(weights, means, variances, p, tol=1e-10):
-    """The one-level mixture quantile that the batched routine must reproduce bit for bit."""
-    sd = np.sqrt(variances)
-
-    def cdf(x):
-        return ndtr((x - means) / sd) @ weights
-
-    lo = float(np.min(means - 12.0 * sd))
-    hi = float(np.max(means + 12.0 * sd))
-    while cdf(lo) > p:
-        lo -= (hi - lo)
-    while cdf(hi) < p:
-        hi += (hi - lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def random_mixtures(rng, n, k):
     """n mixtures of k components whose spreads, and so bracket widths, differ."""
     return [
@@ -249,10 +226,19 @@ class TestMixtureQuantilesExact:
         rng = seeded_rng(3, "table")
         dists = [d for k in (5, 3, 5, 4, 3) for d in random_mixtures(rng, 1, k)]
         levels = [0.05, 0.5, 0.95, 1 / 6, 5 / 6]
-        table = mixture_quantile_table(dists, levels)
+        table = quantile_table(dists, levels)
         assert table.shape == (5, 5)
         for row, d in zip(table, dists):
             assert row.tolist() == [scalar_bisection(d.weights, d.means, d.variances, q) for q in levels]
+
+    def test_table_rows_of_gaussian_laws(self):
+        mix = random_mixtures(seeded_rng(4, "table"), 1, 3)[0]
+        gauss = GaussianPredictive(2.0, 3.0)
+        levels = np.array([0.05, 0.5, 0.95])
+        table = quantile_table([gauss, mix, gauss], levels)
+        assert table[0].tolist() == table[2].tolist() == gauss.quantile(levels).tolist()
+        assert table[0, 1] == gauss.median()
+        assert table[1].tolist() == mix.quantile(levels).tolist()
 
     def test_level_above_total_weight_rejected(self):
         # weights may sum to within 1e-10 of one; a level above their sum
