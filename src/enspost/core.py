@@ -220,9 +220,6 @@ class GaussianPredictive:
     def cdf(self, x):
         return gaussian_cdf((np.asarray(x, dtype=float) - self.mean) / self.sd)
 
-    def pdf(self, x):
-        return gaussian_pdf((np.asarray(x, dtype=float) - self.mean) / self.sd) / self.sd
-
     def quantile(self, p):
         return self.mean + self.sd * gaussian_quantile(p)
 
@@ -291,13 +288,6 @@ class MixturePredictive:
         x = np.asarray(x, dtype=float)
         z = (x[..., None] - self.means) / np.sqrt(self.variances)
         out = ndtr(z) @ self.weights
-        return float(out) if out.ndim == 0 else out
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        sd = np.sqrt(self.variances)
-        z = (x[..., None] - self.means) / sd
-        out = (gaussian_pdf(z) / sd) @ self.weights
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p, tol: float = 1e-10):

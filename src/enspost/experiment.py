@@ -467,7 +467,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         var_v = np.array([pr[s].variance for s in act_idx])
                         ds_val = verify.dawid_sebastiani(mu_v, np.diag(var_v), y_vec)
                     elif spatial_mode == "grf":
-                        day_variogram = _fit_day_variogram(method, fits[method], data, window, act_set)
+                        day_variogram = _fit_day_variogram(method, fits[method], data, window, data.stations)
                         corr = build_correlation_matrix(day_variogram, act_set)
                         mu_v = np.array([pr[s].mean for s in act_idx])
                         sd_v = np.array([pr[s].sd for s in act_idx])

@@ -14,7 +14,10 @@ keys are load errors that name the offending line.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import csv
+import itertools
 import logging
 import math
 import warnings
@@ -35,123 +38,161 @@ class LoadError(ValueError):
     """Raised when an input file violates its schema."""
 
 
-def _rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header plus (line_number, fields) for every data row."""
+def _columns(path, header):
+    """Stripped columns of a CSV file whose first record must be `header`.
+
+    Also returns line(i), the line of data row i (blank records are skipped
+    but counted, as csv.reader counts them), and the field-count check for
+    _raise_first: reading stops at the first row of the wrong width.
+    """
+    width, flat, blanks, check = len(header), [], [], (None, None)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        body = [(i, row) for i, row in enumerate(reader, start=2) if row]
-    return [h.strip() for h in header], body
+        head = next(reader, None)
+        if head is None:
+            raise LoadError(f"{path}: empty file")
+        head = [h.strip() for h in head]
+        if head != list(header):
+            raise LoadError(f"{path}: header {head!r} does not match {list(header)!r}")
+        for row in reader:
+            if len(row) == width:
+                flat.extend(row)
+            elif row:
+                check = (len(flat) // width, lambda i, n=len(row): f"expected {width} fields, got {n}")
+                break
+            else:
+                blanks.append(len(flat) // width)
+    cols = [list(map(str.strip, flat[c::width])) for c in range(width)]
+    return cols, lambda i: i + 2 + bisect.bisect_right(blanks, i), check
 
 
-def _check_header(path, header, expected):
-    if header != list(expected):
-        raise LoadError(f"{path}: header {header!r} does not match {list(expected)!r}")
+def _raise_first(path, line, checks):
+    """Raise the error of the earliest failing row.
+
+    checks are (first failing row or None, row -> message) in the order they
+    apply to one row, so on one row the first listed wins.
+    """
+    failing = [(row, k) for k, (row, _) in enumerate(checks) if row is not None]
+    if failing:
+        row, k = min(failing)
+        raise LoadError(f"{path} line {line(row)}: {checks[k][1](row)}")
 
 
-def _parse_float(path, line, text, what, required):
-    text = text.strip()
-    if not text:
-        if required:
-            raise LoadError(f"{path} line {line}: missing {what}")
-        return None
+def _first(mask):
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _codes(cells, index):
+    """index[cell] for each cell, -1 where the cell is not a key."""
+    return np.fromiter(map(index.get, cells, itertools.repeat(-1)), np.intp, len(cells))
+
+
+def _repeat(keys):
+    """First index whose key equals an earlier one, or None."""
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(later.min()) if later.size else None
+
+
+def _floats(cells, empty):
+    """float of each cell (`empty` for ''), stopping at the first bad cell: (values, its index or None)."""
+    values = []
     try:
-        return float(text)
+        for t in cells:
+            values.append(float(t) if t else empty)
     except ValueError:
-        raise LoadError(f"{path} line {line}: bad {what} {text!r}") from None
+        return values, len(values)
+    return values, None
 
 
 def load_stations(path) -> StationSet:
-    header, body = _rows(path)
-    _check_header(path, header, ("station_id", "lon", "lat", "x_km", "y_km"))
-    stations = []
-    seen = set()
-    for line, row in body:
-        if len(row) != 5:
-            raise LoadError(f"{path} line {line}: expected 5 fields, got {len(row)}")
-        sid = row[0].strip()
-        if not sid:
-            raise LoadError(f"{path} line {line}: empty station id")
-        if sid in seen:
-            raise LoadError(f"{path} line {line}: duplicate station id {sid!r}")
-        seen.add(sid)
-        lon = _parse_float(path, line, row[1], "lon", required=False)
-        lat = _parse_float(path, line, row[2], "lat", required=False)
-        x = _parse_float(path, line, row[3], "x_km", required=True)
-        y = _parse_float(path, line, row[4], "y_km", required=True)
-        stations.append(Station(sid, x, y, lon, lat))
+    (sid, *text), line, width_check = _columns(path, ("station_id", "lon", "lat", "x_km", "y_km"))
+    checks = [
+        width_check,
+        (_first([s == "" for s in sid]), lambda i: "empty station id"),
+        (_repeat(np.unique(sid, return_inverse=True)[1]), lambda i: f"duplicate station id {sid[i]!r}"),
+    ]
+    coords = []
+    for name, cells in zip(("lon", "lat", "x_km", "y_km"), text):
+        values, bad = _floats(cells, None)
+        if name in ("x_km", "y_km"):
+            checks.append((_first([t == "" for t in cells]), lambda i, name=name: f"missing {name}"))
+        checks.append((bad, lambda i, name=name, cells=cells: f"bad {name} {cells[i]!r}"))
+        coords.append(values)
+    lon, lat, x, y = coords
+    # Station() checks its own coordinates: in row order, before a later row's error
+    end = min((row for row, _ in checks if row is not None), default=len(sid))
+    stations = [Station(sid[i], x[i], y[i], lon[i], lat[i]) for i in range(end)]
+    _raise_first(path, line, checks)
     if not stations:
         raise LoadError(f"{path}: no stations")
     return StationSet(stations)
+
+
+def _read_table(path, header, sindex):
+    """Checked rows of a forecast or observation file.
+
+    Returns the file's sorted dates and, per row, its date's position among
+    them, its station index, its member (None for observations) and its
+    value (NaN where empty).
+    """
+    cols, line, width_check = _columns(path, header)
+    date, sid, text = cols[0], cols[1], cols[-1]
+    dates = sorted(set(date))
+    day = _codes(date, {d: i for i, d in enumerate(dates)})
+    station = _codes(sid, sindex)
+    valid = station >= 0
+    checks = [width_check, (_first(~valid), lambda i: f"unknown station id {sid[i]!r}")]
+    key, member, what = day * len(sindex) + station, None, "(date, station)"
+    if len(cols) == 4:
+        numbers = {}  # int() once per distinct member text
+        for t in set(cols[2]):
+            with contextlib.suppress(ValueError):
+                numbers[t] = int(t)
+        member = np.fromiter(map(numbers.get, cols[2], itertools.repeat(math.nan)), float, len(date))
+        checks += [
+            (_first(np.isnan(member)), lambda i: f"bad member {cols[2][i]!r}"),
+            (_first(member < 1), lambda i: f"member must be 1-based, got {numbers[cols[2][i]]}"),
+        ]
+        valid &= member >= 1
+        key = key * np.max(member, where=valid, initial=1) + member - 1  # exact below 2**53
+        what = "(date, station, member)"
+    rows = np.flatnonzero(valid)
+    repeat = _repeat(key[rows])
+    values, bad_value = _floats(text, math.nan)
+    checks += [
+        (None if repeat is None else int(rows[repeat]),
+         lambda i: f"duplicate {what} {(date[i], sid[i]) + (() if member is None else (numbers[cols[2][i]],))!r}"),
+        (bad_value, lambda i: f"bad value_c {text[i]!r}"),
+    ]
+    _raise_first(path, line, checks)
+    return dates, day, station, member, np.array(values)
 
 
 def load_dataset(stations_path, forecasts_path, observations_path) -> EnsembleDataset:
     """Read the three CSV files into one aligned dataset."""
     stations = load_stations(stations_path)
     sindex = {sid: i for i, sid in enumerate(stations.ids)}
-
-    header, body = _rows(forecasts_path)
-    _check_header(forecasts_path, header, ("date", "station_id", "member", "value_c"))
-    fc_rows = []
-    seen_fc = set()
-    n_members = 0
-    for line, row in body:
-        if len(row) != 4:
-            raise LoadError(f"{forecasts_path} line {line}: expected 4 fields, got {len(row)}")
-        date, sid, member_text = row[0].strip(), row[1].strip(), row[2].strip()
-        if sid not in sindex:
-            raise LoadError(f"{forecasts_path} line {line}: unknown station id {sid!r}")
-        try:
-            member = int(member_text)
-        except ValueError:
-            raise LoadError(f"{forecasts_path} line {line}: bad member {member_text!r}") from None
-        if member < 1:
-            raise LoadError(f"{forecasts_path} line {line}: member must be 1-based, got {member}")
-        key = (date, sid, member)
-        if key in seen_fc:
-            raise LoadError(f"{forecasts_path} line {line}: duplicate (date, station, member) {key!r}")
-        seen_fc.add(key)
-        value = _parse_float(forecasts_path, line, row[3], "value_c", required=False)
-        n_members = max(n_members, member)
-        fc_rows.append((date, sid, member, value))
-    if n_members == 0:
+    fc_dates, fc_day, fc_station, member, fc_values = _read_table(
+        forecasts_path, ("date", "station_id", "member", "value_c"), sindex)
+    if not len(member):
         raise LoadError(f"{forecasts_path}: no forecast rows")
+    ob_dates, ob_day, ob_station, _, ob_values = _read_table(
+        observations_path, ("date", "station_id", "value_c"), sindex)
 
-    header, body = _rows(observations_path)
-    _check_header(observations_path, header, ("date", "station_id", "value_c"))
-    ob_rows = []
-    seen_ob = set()
-    for line, row in body:
-        if len(row) != 3:
-            raise LoadError(f"{observations_path} line {line}: expected 3 fields, got {len(row)}")
-        date, sid = row[0].strip(), row[1].strip()
-        if sid not in sindex:
-            raise LoadError(f"{observations_path} line {line}: unknown station id {sid!r}")
-        key = (date, sid)
-        if key in seen_ob:
-            raise LoadError(f"{observations_path} line {line}: duplicate (date, station) {key!r}")
-        seen_ob.add(key)
-        value = _parse_float(observations_path, line, row[2], "value_c", required=False)
-        ob_rows.append((date, sid, value))
-
-    days = sorted({r[0] for r in fc_rows} | {r[0] for r in ob_rows})
+    days = sorted(set(fc_dates) | set(ob_dates))
     day_index = {d: i for i, d in enumerate(days)}
+    n_members = int(member.max())
     forecasts = np.full((len(days), len(stations), n_members), np.nan)
     observations = np.full((len(days), len(stations)), np.nan)
-    for date, sid, member, value in fc_rows:
-        if value is not None:
-            forecasts[day_index[date], sindex[sid], member - 1] = value
-    for date, sid, value in ob_rows:
-        if value is not None:
-            observations[day_index[date], sindex[sid]] = value
+    forecasts[_codes(fc_dates, day_index)[fc_day], fc_station, member.astype(np.intp) - 1] = fc_values
+    observations[_codes(ob_dates, day_index)[ob_day], ob_station] = ob_values
 
     dataset = EnsembleDataset(stations, days, forecasts, observations)
     log.info(
         "loaded %d stations, %d days, %d members (%d forecast rows, %d observation rows, %d eliminated days)",
-        len(stations), len(days), n_members, len(fc_rows), len(ob_rows), int(dataset.eliminated.sum()),
+        len(stations), len(days), n_members, len(member), len(ob_values), int(dataset.eliminated.sum()),
     )
     return dataset
 

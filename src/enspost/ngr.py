@@ -42,40 +42,7 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
-# ensemble summaries
-
-
-@dataclass(frozen=True)
-class EnsembleSummary:
-    """Per (day, station) availability-aware ensemble statistics.
-
-    `variance` is the unbiased sample variance over available members
-    (divisor m-1); NaN where fewer than two members are available.
-    """
-
-    mean: np.ndarray
-    variance: np.ndarray
-    count: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _readonly(np.array(self.mean, dtype=float)))
-        object.__setattr__(self, "variance", _readonly(np.array(self.variance, dtype=float)))
-        object.__setattr__(self, "count", _readonly(np.array(self.count, dtype=int)))
-
-
-def summarize_ensemble(forecasts: np.ndarray) -> EnsembleSummary:
-    """Summary statistics along the trailing member axis."""
-    f = np.asarray(forecasts, dtype=float)
-    valid = ~np.isnan(f)
-    count = valid.sum(axis=-1)
-    total = np.where(valid, f, 0.0).sum(axis=-1)
-    mean = total / np.maximum(count, 1)
-    mean = np.where(count > 0, mean, np.nan)
-    dev = np.where(valid, f - mean[..., None], 0.0)
-    ss = (dev ** 2).sum(axis=-1)
-    variance = ss / np.maximum(count - 1, 1)
-    variance = np.where(count > 1, variance, np.nan)
-    return EnsembleSummary(mean, variance, count)
+# member imputation
 
 
 def _impute_panel(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from enspost.core import EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
+from enspost.ingest import LoadError
 
 
 def make_stations(n, *, seed=0, width=500.0, height=500.0):
@@ -43,6 +46,72 @@ def scalar_bisection(weights, means, variances, p, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def rowwise_load_dataset(stations_path, forecasts_path, observations_path):
+    """The one-row-at-a-time CSV loader that the column-wise loader must reproduce bit for bit."""
+
+    def rows(path, expected):
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader)]
+            body = [(i, row) for i, row in enumerate(reader, start=2) if row]
+        if header != list(expected):
+            raise LoadError(f"{path}: header {header!r} does not match {list(expected)!r}")
+        for line, row in body:
+            if len(row) != len(expected):
+                raise LoadError(f"{path} line {line}: expected {len(expected)} fields, got {len(row)}")
+            yield line, [f.strip() for f in row]
+
+    def number(path, line, text, what):
+        if not text:
+            return None
+        try:
+            return float(text)
+        except ValueError:
+            raise LoadError(f"{path} line {line}: bad {what} {text!r}") from None
+
+    stations = []
+    for line, (sid, lon, lat, x, y) in rows(stations_path, ("station_id", "lon", "lat", "x_km", "y_km")):
+        stations.append(Station(sid, number(stations_path, line, x, "x_km"), number(stations_path, line, y, "y_km"),
+                                number(stations_path, line, lon, "lon"), number(stations_path, line, lat, "lat")))
+    stations = StationSet(stations)
+    sindex = {sid: i for i, sid in enumerate(stations.ids)}
+
+    def table(path, header):
+        out, seen = [], set()
+        for line, row in rows(path, header):
+            date, sid, *member, text = row
+            if sid not in sindex:
+                raise LoadError(f"{path} line {line}: unknown station id {sid!r}")
+            key = (date, sid)
+            if member:
+                try:
+                    m = int(member[0])
+                except ValueError:
+                    raise LoadError(f"{path} line {line}: bad member {member[0]!r}") from None
+                if m < 1:
+                    raise LoadError(f"{path} line {line}: member must be 1-based, got {m}")
+                key = (date, sid, m)
+            if key in seen:
+                raise LoadError(f"{path} line {line}: duplicate {'(date, station, member)' if member else '(date, station)'} {key!r}")
+            seen.add(key)
+            out.append((key, number(path, line, text, "value_c")))
+        return out
+
+    fc = table(forecasts_path, ("date", "station_id", "member", "value_c"))
+    ob = table(observations_path, ("date", "station_id", "value_c"))
+    days = sorted({k[0] for k, _ in fc} | {k[0] for k, _ in ob})
+    day_index = {d: i for i, d in enumerate(days)}
+    forecasts = np.full((len(days), len(stations), max(k[2] for k, _ in fc)), np.nan)
+    observations = np.full((len(days), len(stations)), np.nan)
+    for (date, sid, m), value in fc:
+        if value is not None:
+            forecasts[day_index[date], sindex[sid], m - 1] = value
+    for (date, sid), value in ob:
+        if value is not None:
+            observations[day_index[date], sindex[sid]] = value
+    return EnsembleDataset(stations, days, forecasts, observations)
 
 
 def last_window(data, window_length=25):

@@ -230,6 +230,20 @@ class TestRunExperiment:
             fields = ecc_reorder(q, np.vstack(perms), data.stations.ids).fields
             assert scores[(day, "bma/ecc", "ds")] == ds_from_sample(fields, y)
 
+    def test_grf_day_with_missing_observation_is_scored(self, tmp_path):
+        data = generate(default_spec(3, n_stations=8, n_days=18, n_members=5))
+        obs = np.array(data.observations)
+        target = data.days[15]
+        obs[15, 2] = np.nan  # the variogram still uses every station's training errors
+        data = EnsembleDataset(data.stations, data.days, data.forecasts, obs)
+        root = tmp_path / "data"
+        root.mkdir()
+        save_dataset(data, root / "stations.csv", root / "forecasts.csv", root / "observations.csv")
+        result = run_experiment(tiny_config(root, tmp_path / "out", combos=(("ngr+", "grf"),)))
+        assert result.summary["failed_days"] == {}
+        scored = {r.date for r in result.table.rows if r.method == "ngr+/grf" and r.score == "es"}
+        assert target in scored
+
     def test_window_longer_than_dataset_rejected(self, data_dir, tmp_path):
         with pytest.raises(ValueError, match="target day"):
             run_experiment(tiny_config(data_dir, tmp_path / "w", window_length=30))

@@ -14,7 +14,19 @@ from enspost.ingest import (
     rolling_windows,
     save_dataset,
 )
-from tests.conftest import make_dataset
+from enspost.synth import default_spec, generate
+from tests.conftest import make_dataset, rowwise_load_dataset
+
+STATIONS = "station_id,lon,lat,x_km,y_km\nA,,,0,0\nB,,,10,0\n"
+FC_HEAD = "date,station_id,member,value_c\n"
+OB_HEAD = "date,station_id,value_c\n"
+
+
+def write_files(tmp_path, forecasts, observations=OB_HEAD, stations=STATIONS):
+    paths = [tmp_path / n for n in ("s.csv", "f.csv", "o.csv")]
+    for path, text in zip(paths, (stations, forecasts, observations)):
+        path.write_text(text)
+    return paths
 
 
 class TestStationsCsv:
@@ -83,6 +95,94 @@ class TestDatasetCsv:
         (tmp_path / "o.csv").write_text("date,station_id,value_c\n")
         with pytest.raises(LoadError, match="unknown station"):
             load_dataset(tmp_path / "s.csv", tmp_path / "f.csv", tmp_path / "o.csv")
+
+
+class TestLoadErrors:
+    """Exact text and line of each load error, as the one-row-at-a-time loader gave them."""
+
+    CASES = {
+        "field_count": (FC_HEAD + "d1,A,1,1.0\nd1,A,2\n", OB_HEAD,
+                        "f.csv line 3: expected 4 fields, got 3"),
+        "bad_member": (FC_HEAD + "d1,A,1,1.0\nd1,A,two,2.0\n", OB_HEAD,
+                       "f.csv line 3: bad member 'two'"),
+        "member_zero": (FC_HEAD + "d1,A,1,1.0\nd1,B, 0 ,2.0\n", OB_HEAD,
+                        "f.csv line 3: member must be 1-based, got 0"),
+        "bad_value": (FC_HEAD + "d1,A,1,1.0\nd1,A,2,warm\n", OB_HEAD,
+                      "f.csv line 3: bad value_c 'warm'"),
+        "duplicate_member_spelling": (FC_HEAD + "d1,A,1,1.0\nd1,B,1,2.0\nd1,A,01,3.0\n", OB_HEAD,
+                                      "f.csv line 4: duplicate (date, station, member) ('d1', 'A', 1)"),
+        "duplicate_observation": (FC_HEAD + "d1,A,1,1.0\n", OB_HEAD + "d1,A,1.5\nd1,B,2.5\nd1, A ,\n",
+                                  "o.csv line 4: duplicate (date, station) ('d1', 'A')"),
+        "blank_records_shift_lines": (FC_HEAD + "\nd1,A,1,1.0\n\n\nd1,Z,1,2.0\n", OB_HEAD,
+                                      "f.csv line 6: unknown station id 'Z'"),
+        "earliest_line_wins": (FC_HEAD + "d1,A,1,1.0\nd1,A,x,2.0\nd1,A,1,3.0\nd1,A\n", OB_HEAD,
+                               "f.csv line 3: bad member 'x'"),
+        "earlier_duplicate_beats_later_bad_value": (
+            FC_HEAD + "d1,A,1,1.0\nd1,A,1,2.0\nd1,B,1,oops\n", OB_HEAD,
+            "f.csv line 3: duplicate (date, station, member) ('d1', 'A', 1)"),
+        "one_row_station_before_member": (FC_HEAD + "d1,Z,0,x\n", OB_HEAD,
+                                          "f.csv line 2: unknown station id 'Z'"),
+        "one_row_duplicate_before_value": (FC_HEAD + "d1,A,1,1.0\nd1,A,1,x\n", OB_HEAD,
+                                           "f.csv line 3: duplicate (date, station, member) ('d1', 'A', 1)"),
+        "forecast_file_before_observation_file": (FC_HEAD + "d1,A,1,1.0\nd1,A,1,2.0\n",
+                                                  OB_HEAD + "d1,Z,1.0\n",
+                                                  "f.csv line 3: duplicate (date, station, member) ('d1', 'A', 1)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_message_and_line(self, tmp_path, case):
+        forecasts, observations, expected = self.CASES[case]
+        paths = write_files(tmp_path, forecasts, observations)
+        with pytest.raises(LoadError) as got:
+            load_dataset(*paths)
+        assert str(got.value) == f"{tmp_path}/{expected}"
+        with pytest.raises(LoadError) as reference:
+            rowwise_load_dataset(*paths)
+        assert str(reference.value) == str(got.value)
+
+    def test_no_forecast_rows(self, tmp_path):
+        paths = write_files(tmp_path, FC_HEAD + "\n")
+        with pytest.raises(LoadError) as got:
+            load_dataset(*paths)
+        assert str(got.value) == f"{paths[1]}: no forecast rows"
+
+    def test_empty_station_id(self, tmp_path):
+        paths = write_files(tmp_path, FC_HEAD, stations="station_id,lon,lat,x_km,y_km\nA,,,0,0\n\n ,,,1,1\n")
+        with pytest.raises(LoadError) as got:
+            load_stations(paths[0])
+        assert str(got.value) == f"{paths[0]} line 4: empty station id"
+
+    def test_quoted_station_id_with_comma_round_trips(self, tmp_path):
+        data = make_dataset(n_days=3, n_stations=3, n_members=2)
+        stations = type(data.stations)(
+            type(s)(f'Berlin, "Mitte" {i}', s.x, s.y) for i, s in enumerate(data.stations))
+        data = type(data)(stations, data.days, data.forecasts, data.observations)
+        paths = [tmp_path / n for n in ("s.csv", "f.csv", "o.csv")]
+        save_dataset(data, *paths)
+        loaded = load_dataset(*paths)
+        assert loaded.stations.ids == data.stations.ids
+        assert loaded.forecasts.tobytes() == data.forecasts.tobytes()
+        assert loaded.observations.tobytes() == data.observations.tobytes()
+
+    def test_gapped_season_matches_rowwise_loader(self, tmp_path):
+        data = generate(default_spec(7, n_stations=12, n_days=20, n_members=6))
+        rng = np.random.default_rng(7)
+        fc = np.where(rng.random(data.forecasts.shape) < 0.05, np.nan, data.forecasts)
+        obs = np.where(rng.random(data.observations.shape) < 0.05, np.nan, data.observations)
+        data = type(data)(data.stations, data.days, fc, obs)
+        paths = [tmp_path / n for n in ("s.csv", "f.csv", "o.csv")]
+        save_dataset(data, *paths)
+        # absent rows mean missing too: drop every fifth observation row
+        lines = paths[2].read_text().splitlines(keepends=True)
+        paths[2].write_text("".join(line for i, line in enumerate(lines) if i == 0 or i % 5))
+        got = load_dataset(*paths)
+        want = rowwise_load_dataset(*paths)
+        assert np.isnan(got.forecasts).any() and np.isnan(got.observations).any()
+        assert got.days == want.days
+        assert got.stations.ids == want.stations.ids
+        assert got.stations.coords.tobytes() == want.stations.coords.tobytes()
+        assert got.forecasts.tobytes() == want.forecasts.tobytes()
+        assert got.observations.tobytes() == want.observations.tobytes()
 
 
 class TestGrid:

@@ -16,7 +16,6 @@ from enspost.ngr import (
     params_to_json,
     predict_ngr_c,
     predict_ngr_plus,
-    summarize_ensemble,
 )
 from enspost.synth import NgrPlusTruth, SynthSpec, brute_force_crps, generate
 from tests.conftest import last_window, make_dataset
@@ -89,15 +88,6 @@ class TestCrpsGradient:
 
 
 class TestEnsembleSummary:
-    def test_mean_variance_count(self):
-        fc = np.array([[1.0, 2.0, 3.0], [np.nan, 4.0, 6.0]])
-        s = summarize_ensemble(fc)
-        assert s.mean[0] == pytest.approx(2.0)
-        assert s.variance[0] == pytest.approx(1.0)  # ddof=1
-        assert s.mean[1] == pytest.approx(5.0)
-        assert s.variance[1] == pytest.approx(2.0)
-        np.testing.assert_array_equal(s.count, [3, 2])
-
     def test_impute_members_fills_row_mean(self):
         filled, s2 = impute_members(np.array([1.0, np.nan, 3.0]))
         np.testing.assert_allclose(filled, [1.0, 2.0, 3.0])
