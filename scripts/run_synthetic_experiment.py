@@ -16,20 +16,9 @@ import sys
 import time
 from pathlib import Path
 
-from enspost.experiment import ExperimentConfig, run_experiment
+from enspost.experiment import ALL_COMBOS, ExperimentConfig, run_experiment
 from enspost.ingest import save_dataset
 from enspost.synth import default_spec, generate
-
-ALL_COMBOS = (
-    ("ngr+", "none"),
-    ("ngr+", "grf"),
-    ("ngr+", "ecc"),
-    ("ngrc", "none"),
-    ("ngrc", "grf"),
-    ("bma", "none"),
-    ("bma", "ecc"),
-    ("bma", "spatial-bma"),
-)
 
 
 def main(argv=None) -> int:

@@ -85,6 +85,7 @@ class StationSet(Sequence):
 
     def __init__(self, stations: Iterable[Station]):
         self._stations = tuple(stations)
+        self._ids = tuple(s.id for s in self._stations)
         self._index: dict[str, int] = {}
         for i, s in enumerate(self._stations):
             if s.id in self._index:
@@ -104,7 +105,7 @@ class StationSet(Sequence):
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self._stations)
+        return self._ids
 
     @property
     def coords(self) -> np.ndarray:

@@ -60,6 +60,18 @@ METHODS = ("ngr+", "ngrc", "bma")
 SPATIAL_MODES = ("none", "grf", "ecc", "spatial-bma")
 UNIVARIATE_SCORES = ("crps", "mae", "rmse", "pi_width", "pi_coverage")
 BAND_DEPTH_FIELDS = 20
+ALL_COMBOS = (
+    ("ngr+", "none"),
+    ("ngr+", "grf"),
+    ("ngr+", "ecc"),
+    ("ngrc", "none"),
+    ("ngrc", "grf"),
+    ("bma", "none"),
+    ("bma", "ecc"),
+    ("bma", "spatial-bma"),
+)
+# numerical failures that cost a day; anything else is a bug and propagates
+_DAY_FAILURES = (ValueError, np.linalg.LinAlgError, RuntimeError)
 
 
 def validate_combo(method: str, spatial_mode: str) -> None:
@@ -338,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     else:
                         fits[method] = bma_mod.fit_bma(data, window)
                     prev[method] = fits[method]
-                except Exception as exc:
+                except _DAY_FAILURES as exc:
                     log.warning("day %s: %s fit failed: %s", day, method, exc)
                     n_warnings += 1
                     for lab in all_labels:
@@ -490,7 +502,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         means, covs = _mixture_field_moments(day_spatial, fc[act_idx], act_set)
                         mu_v, cov = verify.mixture_moments(day_spatial.bma.w, means, covs)
                         ds_val = verify.dawid_sebastiani(mu_v, cov, y_vec)
-                except Exception as exc:
+                except _DAY_FAILURES as exc:
                     log.warning("day %s: %s sampling failed: %s", day, label, exc)
                     n_warnings += 1
                     failed[label].append(day)

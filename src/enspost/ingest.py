@@ -1,6 +1,5 @@
-"""Dataset ingestion: station/forecast/observation CSV files, regular-grid
-forecast files with bilinear interpolation to stations, rotated-pole
-coordinate projection, and rolling training windows.
+"""Dataset ingestion: station/forecast/observation CSV files and rolling
+training windows.
 
 CSV schemas
 -----------
@@ -21,17 +20,12 @@ import itertools
 import logging
 import math
 import warnings
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .core import EnsembleDataset, Station, StationSet, TrainingWindow, _readonly
+from .core import EnsembleDataset, Station, StationSet, TrainingWindow
 
 log = logging.getLogger(__name__)
-
-KM_PER_DEGREE = 111.2
 
 
 class LoadError(ValueError):
@@ -223,134 +217,6 @@ def save_dataset(dataset: EnsembleDataset, stations_path, forecasts_path, observ
         for di, day in enumerate(dataset.days):
             for si, sid in enumerate(dataset.stations.ids):
                 w.writerow((day, sid, _fmt(dataset.observations[di, si])))
-
-
-@dataclass(frozen=True)
-class GridForecast:
-    """Regular grid of forecast values, one 2-D layer per member.
-
-    values[m, j, i] sits at (x0 + i*dx, y0 + j*dy); layers are stored member
-    major with members 1..M mapping to indices 0..M-1.
-    """
-
-    nx: int
-    ny: int
-    x0: float
-    y0: float
-    dx: float
-    dy: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid needs at least 2 nodes per axis")
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("grid spacing must be positive")
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[1:] != (self.ny, self.nx):
-            raise ValueError(f"values shape {v.shape} does not match (M, {self.ny}, {self.nx})")
-        object.__setattr__(self, "values", _readonly(v))
-
-    @property
-    def members(self) -> int:
-        return self.values.shape[0]
-
-
-def load_grid(paths: Sequence) -> GridForecast:
-    """Assemble one GridForecast from per-member grid files.
-
-    Each file starts with a header line `nx,ny,x0,y0,dx,dy,member` followed by
-    the ny*nx values in row-major order (row j varies slowest).
-    """
-    layers = {}
-    geometry = None
-    for path in paths:
-        text = Path(path).read_text()
-        lines = text.strip().splitlines()
-        if not lines:
-            raise LoadError(f"{path}: empty grid file")
-        head = lines[0].split(",")
-        if len(head) != 7:
-            raise LoadError(f"{path}: bad grid header {lines[0]!r}")
-        try:
-            nx, ny = int(head[0]), int(head[1])
-            x0, y0, dx, dy = (float(t) for t in head[2:6])
-            member = int(head[6])
-        except ValueError:
-            raise LoadError(f"{path}: bad grid header {lines[0]!r}") from None
-        geom = (nx, ny, x0, y0, dx, dy)
-        if geometry is None:
-            geometry = geom
-        elif geom != geometry:
-            raise LoadError(f"{path}: grid geometry {geom!r} differs from {geometry!r}")
-        tokens = " ".join(lines[1:]).replace(",", " ").split()
-        if len(tokens) != nx * ny:
-            raise LoadError(f"{path}: expected {nx * ny} grid values, got {len(tokens)}")
-        if member in layers:
-            raise LoadError(f"{path}: duplicate member {member}")
-        layers[member] = np.array([float(t) for t in tokens]).reshape(ny, nx)
-    if not layers:
-        raise LoadError("no grid files given")
-    members = sorted(layers)
-    if members != list(range(1, len(members) + 1)):
-        raise LoadError(f"grid members {members} do not form 1..M")
-    nx, ny, x0, y0, dx, dy = geometry
-    return GridForecast(nx, ny, x0, y0, dx, dy, np.stack([layers[m] for m in members]))
-
-
-def bilinear_interpolate(grid: GridForecast, station: Station) -> np.ndarray:
-    """Per-member bilinear interpolation of the grid at the station.
-
-    Exact (to rounding) for fields affine in the coordinates; stations outside
-    the grid's bounding box are an error.
-    """
-    u = (station.x - grid.x0) / grid.dx
-    v = (station.y - grid.y0) / grid.dy
-    if not (0.0 <= u <= grid.nx - 1 and 0.0 <= v <= grid.ny - 1):
-        raise ValueError(f"station {station.id!r} at ({station.x}, {station.y}) lies outside the grid")
-    i = min(int(math.floor(u)), grid.nx - 2)
-    j = min(int(math.floor(v)), grid.ny - 2)
-    fu = u - i
-    fv = v - j
-    vals = grid.values
-    return (
-        vals[:, j, i] * (1 - fu) * (1 - fv)
-        + vals[:, j, i + 1] * fu * (1 - fv)
-        + vals[:, j + 1, i] * (1 - fu) * fv
-        + vals[:, j + 1, i + 1] * fu * fv
-    )
-
-
-def project_rotated_pole(lon, lat, pole_lon: float, pole_lat: float, km_per_degree: float = KM_PER_DEGREE):
-    """Rotated-pole projection to planar km coordinates.
-
-    (pole_lon, pole_lat) is the geographic position of the rotated north pole.
-    The convention puts rotated longitude zero on the meridian opposite the
-    pole, so a pole at (180, 90) is the identity and a region "under" a pole
-    placed on the far side of the globe gets small rotated coordinates.
-    Rotated lon/lat are scaled by km_per_degree.
-    """
-    lon_arr = np.asarray(lon, dtype=float)
-    lat_arr = np.asarray(lat, dtype=float)
-    if np.any(np.abs(lat_arr) > 90.0) or abs(pole_lat) > 90.0:
-        raise ValueError("latitudes must lie in [-90, 90]")
-    lam = np.radians(lon_arr)
-    phi = np.radians(lat_arr)
-    lam_p = math.radians(pole_lon)
-    phi_p = math.radians(pole_lat)
-
-    dlam = lam - lam_p
-    sin_phi_r = np.sin(phi) * math.sin(phi_p) + np.cos(phi) * math.cos(phi_p) * np.cos(dlam)
-    phi_r = np.arcsin(np.clip(sin_phi_r, -1.0, 1.0))
-    lam_r = np.arctan2(
-        -np.cos(phi) * np.sin(dlam),
-        -np.cos(phi) * math.sin(phi_p) * np.cos(dlam) + np.sin(phi) * math.cos(phi_p),
-    )
-    x = np.degrees(lam_r) * km_per_degree
-    y = np.degrees(phi_r) * km_per_degree
-    if x.ndim == 0:
-        return float(x), float(y)
-    return x, y
 
 
 def rolling_windows(dataset: EnsembleDataset, window_length: int = 25) -> list[TrainingWindow]:

@@ -316,5 +316,7 @@ def sample_fields(
         raise ValueError("n_samples must be non-negative")
     L, _ = cholesky_with_jitter(pred.correlation)
     z = rng.standard_normal((pred.dim, n_samples))
-    fields = (pred.mu[:, None] + pred.scale[:, None] * (L @ z)).T
-    return ForecastFieldSample(pred.station_order, fields, provenance, seed)
+    fields = L @ z
+    np.multiply(pred.scale[:, None], fields, out=fields)
+    np.add(pred.mu[:, None], fields, out=fields)
+    return ForecastFieldSample(pred.station_order, fields.T, provenance, seed)

@@ -95,6 +95,19 @@ def mae_rmse(medians, means, y) -> tuple[float, float]:
 # multivariate scores
 
 
+def _row_norms(a, b, buf: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a - b, axis=1), computed in the work buffer `buf`.
+
+    These are the ufuncs numpy's norm applies, in the same order. With
+    buf = np.empty_like(a) and b a row or an array laid out like a, buf has
+    the layout numpy would give a - b, so each row sums in the same order
+    and the norms are bit-identical.
+    """
+    np.subtract(a, b, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return np.sqrt(np.add.reduce(buf, axis=1))
+
+
 def energy_score(x, x_prime, y) -> float:
     """Paired two-sample energy score; reduces to crps_sample in d = 1."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -102,8 +115,9 @@ def energy_score(x, x_prime, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != x_prime.shape or x.shape[1] != y.size or x.shape[0] == 0:
         raise ValueError("x, x_prime must be (n, d) with d matching y")
-    term_y = np.linalg.norm(x - y, axis=1).mean()
-    term_x = np.linalg.norm(x - x_prime, axis=1).mean()
+    buf = np.empty_like(x)
+    term_y = _row_norms(x, y, buf).mean()
+    term_x = _row_norms(x, x_prime, buf).mean()
     return float(term_y - 0.5 * term_x)
 
 
@@ -129,8 +143,9 @@ def spatial_median(points, *, tol: float = 1e-8, max_iter: int = 1000) -> np.nda
     if x.shape[0] == 1:
         return x[0].copy()
     y = x.mean(axis=0)
+    buf = np.empty_like(x)
     for _ in range(max_iter):
-        d = np.linalg.norm(x - y, axis=1)
+        d = _row_norms(x, y, buf)
         on_point = d < 1e-12
         if on_point.any():
             off = ~on_point
@@ -146,7 +161,7 @@ def spatial_median(points, *, tol: float = 1e-8, max_iter: int = 1000) -> np.nda
             y_new = (1.0 - step) * t + step * y
         else:
             w = 1.0 / d
-            y_new = (x * w[:, None]).sum(axis=0) / w.sum()
+            y_new = np.multiply(x, w[:, None], out=buf).sum(axis=0) / w.sum()
         if np.linalg.norm(y_new - y) < tol:
             return y_new
         y = y_new
@@ -235,11 +250,6 @@ def verification_rank(members, y: float, rng: np.random.Generator) -> int:
     ranks = np.empty(pool.size, dtype=int)
     ranks[order] = np.arange(1, pool.size + 1)
     return int(ranks[0])
-
-
-def sample_members(dist, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Discretize a continuous predictive into an n-member sample."""
-    return np.asarray(dist.sample(rng, n), dtype=float)
 
 
 def band_depth_preranks(vectors, rng: np.random.Generator) -> np.ndarray:

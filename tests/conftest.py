@@ -6,6 +6,7 @@ from scipy.special import ndtr
 
 from enspost.core import EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
 from enspost.ingest import LoadError
+from enspost.spatial import cholesky_with_jitter
 
 
 def make_stations(n, *, seed=0, width=500.0, height=500.0):
@@ -46,6 +47,53 @@ def scalar_bisection(weights, means, variances, p, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def allocating_energy_score(x, x_prime, y):
+    """The energy score with a fresh temporary per norm, which the buffered version must reproduce bit for bit."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x_prime = np.atleast_2d(np.asarray(x_prime, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    term_y = np.linalg.norm(x - y, axis=1).mean()
+    term_x = np.linalg.norm(x - x_prime, axis=1).mean()
+    return float(term_y - 0.5 * term_x)
+
+
+def allocating_spatial_median(points, *, tol=1e-8, max_iter=1000):
+    """The Weiszfeld iteration with fresh temporaries, which the buffered version must reproduce bit for bit."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    if x.shape[0] == 1:
+        return x[0].copy()
+    y = x.mean(axis=0)
+    for _ in range(max_iter):
+        d = np.linalg.norm(x - y, axis=1)
+        on_point = d < 1e-12
+        if on_point.any():
+            off = ~on_point
+            if not off.any():
+                return y
+            w = 1.0 / d[off]
+            t = (x[off] * w[:, None]).sum(axis=0) / w.sum()
+            r = np.linalg.norm(((x[off] - y) * w[:, None]).sum(axis=0))
+            eta = float(on_point.sum())
+            if r <= eta:
+                return y
+            step = min(1.0, eta / r)
+            y_new = (1.0 - step) * t + step * y
+        else:
+            w = 1.0 / d
+            y_new = (x * w[:, None]).sum(axis=0) / w.sum()
+        if np.linalg.norm(y_new - y) < tol:
+            return y_new
+        y = y_new
+    raise AssertionError("reference median did not converge")
+
+
+def allocating_grf_fields(pred, n_samples, rng):
+    """GRF fields mu + D L z built from fresh temporaries, which sample_fields must reproduce bit for bit."""
+    L, _ = cholesky_with_jitter(pred.correlation)
+    z = rng.standard_normal((pred.dim, n_samples))
+    return (pred.mu[:, None] + pred.scale[:, None] * (L @ z)).T
 
 
 def rowwise_load_dataset(stations_path, forecasts_path, observations_path):

@@ -21,7 +21,7 @@ from scipy import stats
 
 from enspost.core import GaussianPredictive, Station, StationSet, TrainingWindow, seeded_rng
 from enspost.ecc import ecc_quantiles, ecc_reorder, rank_permutation
-from enspost.experiment import ExperimentConfig, run_experiment
+from enspost.experiment import ALL_COMBOS, ExperimentConfig, run_experiment
 from enspost.ingest import rolling_windows, save_dataset
 from enspost.ngr import crps_gaussian, fit_ngr_plus, predict_ngr_plus
 from enspost.spatial import (
@@ -503,18 +503,6 @@ def test_formula_cross_checks():
 # 11. determinism and wall time
 
 
-_ALL_COMBOS = (
-    ("ngr+", "none"),
-    ("ngr+", "grf"),
-    ("ngr+", "ecc"),
-    ("ngrc", "none"),
-    ("ngrc", "grf"),
-    ("bma", "none"),
-    ("bma", "ecc"),
-    ("bma", "spatial-bma"),
-)
-
-
 @_report(11, "byte-identical reruns and full-run wall time")
 def test_determinism_and_runtime(tmp_path: Path):
     # part one: identical config, two runs, every output byte-identical
@@ -527,7 +515,7 @@ def test_determinism_and_runtime(tmp_path: Path):
         cfg = ExperimentConfig(
             data_dir=str(small_dir),
             out_dir=str(tmp_path / run),
-            combos=_ALL_COMBOS,
+            combos=ALL_COMBOS,
             n_pair_samples=400,
             n_field_samples=400,
             thresholds=(16.0,),
@@ -550,7 +538,7 @@ def test_determinism_and_runtime(tmp_path: Path):
     cfg = ExperimentConfig(
         data_dir=str(full_dir),
         out_dir=str(tmp_path / "full-results"),
-        combos=_ALL_COMBOS,
+        combos=ALL_COMBOS,
         n_field_samples=10_000,
         thresholds=(14.0, 18.0, 22.0),
         seed=0,
@@ -561,5 +549,5 @@ def test_determinism_and_runtime(tmp_path: Path):
     assert result.summary["n_target_days"] == 60
     assert result.summary["failed_days"] == {}
     labels = set(result.summary["methods"])
-    assert labels == {"raw"} | {m if s == "none" else f"{m}/{s}" for m, s in _ALL_COMBOS}
+    assert labels == {"raw"} | {m if s == "none" else f"{m}/{s}" for m, s in ALL_COMBOS}
     assert elapsed < 600.0, f"full run took {elapsed:.1f}s"

@@ -191,6 +191,20 @@ class TestRunExperiment:
         # the other target days still produced scores
         assert len(result.table.values("bma", "crps")) == 3
 
+    @pytest.mark.parametrize("where, combo", [
+        ("sample_fields", ("ngr+", "grf")),
+        ("ecc_reorder", ("bma", "ecc")),
+    ])
+    def test_programming_error_in_sampler_propagates(self, data_dir, tmp_path, monkeypatch, where, combo):
+        import enspost.experiment as exp
+
+        def broken(*args, **kw):
+            raise TypeError("contrived programming error")
+
+        monkeypatch.setattr(exp, where, broken)
+        with pytest.raises(TypeError, match="contrived programming error"):
+            run_experiment(tiny_config(data_dir, tmp_path / "t", combos=(combo,)))
+
     def test_bma_scores_equal_per_station_quantiles(self, tmp_path):
         # blanked members give mixtures of 3, 4 and 5 components on one day,
         # so the day's quantile table spans several component counts

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from enspost.core import Station
 from enspost.ingest import (
-    GridForecast,
     LoadError,
-    bilinear_interpolate,
     load_dataset,
-    load_grid,
     load_stations,
-    project_rotated_pole,
     read_key_values,
     rolling_windows,
     save_dataset,
@@ -183,76 +178,6 @@ class TestLoadErrors:
         assert got.stations.coords.tobytes() == want.stations.coords.tobytes()
         assert got.forecasts.tobytes() == want.forecasts.tobytes()
         assert got.observations.tobytes() == want.observations.tobytes()
-
-
-class TestGrid:
-    def test_bilinear_hand_case(self):
-        grid = GridForecast(2, 2, 0.0, 0.0, 1.0, 1.0, [[[1.0, 2.0], [3.0, 4.0]]])
-        got = bilinear_interpolate(grid, Station("P", 0.25, 0.75))
-        # (1-fu)(1-fv)*1 + fu(1-fv)*2 + (1-fu)fv*3 + fu*fv*4 with fu=.25, fv=.75
-        assert got[0] == pytest.approx(2.75)
-
-    def test_bilinear_exact_for_affine_fields(self):
-        xs = np.arange(4) * 2.5
-        ys = np.arange(3) * 3.0
-        vals = 2.0 + 3.0 * xs[None, :] - 1.0 * ys[:, None]
-        grid = GridForecast(4, 3, 0.0, 0.0, 2.5, 3.0, vals[None])
-        for x, y in [(0.1, 0.2), (3.3, 4.4), (7.5, 6.0), (2.5, 3.0)]:
-            got = bilinear_interpolate(grid, Station("P", x, y))
-            assert got[0] == pytest.approx(2.0 + 3.0 * x - 1.0 * y, abs=1e-12)
-
-    def test_outside_grid_raises(self):
-        grid = GridForecast(2, 2, 0.0, 0.0, 1.0, 1.0, np.zeros((1, 2, 2)))
-        with pytest.raises(ValueError, match="outside"):
-            bilinear_interpolate(grid, Station("P", -0.1, 0.5))
-
-    def test_load_grid_round_trip(self, tmp_path):
-        p1 = tmp_path / "m1.txt"
-        p2 = tmp_path / "m2.txt"
-        p1.write_text("2,2,0,0,1,1,1\n1 2\n3 4\n")
-        p2.write_text("2,2,0,0,1,1,2\n5 6\n7 8\n")
-        grid = load_grid([p1, p2])
-        assert grid.members == 2
-        np.testing.assert_array_equal(grid.values[1], [[5, 6], [7, 8]])
-
-    def test_load_grid_geometry_mismatch(self, tmp_path):
-        p1 = tmp_path / "m1.txt"
-        p2 = tmp_path / "m2.txt"
-        p1.write_text("2,2,0,0,1,1,1\n1 2 3 4\n")
-        p2.write_text("2,2,0,0,2,1,2\n5 6 7 8\n")
-        with pytest.raises(LoadError, match="geometry"):
-            load_grid([p1, p2])
-
-    def test_load_grid_members_must_be_dense(self, tmp_path):
-        p = tmp_path / "m3.txt"
-        p.write_text("2,2,0,0,1,1,3\n1 2 3 4\n")
-        with pytest.raises(LoadError, match="1..M"):
-            load_grid([p])
-
-
-class TestRotatedPole:
-    def test_identity_pole(self):
-        x, y = project_rotated_pole(10.0, 50.0, 180.0, 90.0, km_per_degree=1.0)
-        assert x == pytest.approx(10.0, abs=1e-10)
-        assert y == pytest.approx(50.0, abs=1e-10)
-
-    def test_point_under_displaced_pole_maps_to_origin(self):
-        x, y = project_rotated_pole(10.0, 50.0, -170.0, 40.0)
-        assert x == pytest.approx(0.0, abs=1e-9)
-        assert y == pytest.approx(0.0, abs=1e-9)
-        # 5 degrees further north along the central meridian: 5 * 111.2 km
-        x2, y2 = project_rotated_pole(10.0, 55.0, -170.0, 40.0)
-        assert x2 == pytest.approx(0.0, abs=1e-9)
-        assert y2 == pytest.approx(5.0 * 111.2, abs=1e-6)
-
-    def test_vectorized(self):
-        x, y = project_rotated_pole(np.array([10.0, 10.0]), np.array([50.0, 55.0]), -170.0, 40.0)
-        assert x.shape == (2,)
-        assert y[1] == pytest.approx(5.0 * 111.2, abs=1e-6)
-
-    def test_bad_latitude(self):
-        with pytest.raises(ValueError):
-            project_rotated_pole(0.0, 95.0, 180.0, 90.0)
 
 
 class TestRollingWindows:

@@ -17,7 +17,7 @@ from enspost.spatial import (
     standardize_errors,
     variogram_model,
 )
-from tests.conftest import make_dataset, make_stations, last_window
+from tests.conftest import allocating_grf_fields, last_window, make_dataset, make_stations
 
 # theta=0.3, r=100, d=100: 0.7(1 - e^-1) + 0.3 and 0.7 e^-1, mpmath 30 digits
 GAMMA_EXAMPLE = 0.74248439117999059
@@ -218,6 +218,17 @@ class TestSampling:
                     (want_cov[i, i] * want_cov[j, j] + want_cov[i, j] ** 2) / n
                 )
                 assert abs(got_cov[i, j] - want_cov[i, j]) < 4 * se
+
+    def test_fields_equal_allocating_arithmetic(self):
+        stations = make_stations(50, seed=4)
+        corr = build_correlation_matrix((0.2, 150.0), stations)
+        rng = seeded_rng(4, "moments")
+        pred = build_spatial_ngr(12.0 + 4.0 * rng.standard_normal(50), rng.uniform(0.5, 3.0, 50), corr, stations.ids)
+        got = sample_fields(pred, 2000, seeded_rng(4, "fields")).fields
+        want = np.array(allocating_grf_fields(pred, 2000, seeded_rng(4, "fields")))
+        assert got.tobytes() == want.tobytes()
+        # the layout decides the summation order of every later row reduction
+        assert got.strides == want.strides and got.flags.f_contiguous
 
     def test_deterministic_given_stream(self):
         stations = make_stations(3, seed=11)

@@ -29,12 +29,12 @@ from enspost.verify import (
     pit_histogram,
     rank_histogram,
     reliability_index,
-    sample_members,
     spatial_median,
     temp_difference_pit,
     threshold_prob,
     verification_rank,
 )
+from tests.conftest import allocating_energy_score, allocating_spatial_median
 
 # mpmath references
 CRPS_STD_AT_0 = 0.23369497725510907
@@ -190,6 +190,50 @@ class TestSpatialMedian:
         assert euclidean_error(np.array([0.0, 3.0]), np.array([4.0, 0.0])) == pytest.approx(5.0)
 
 
+def _in_layout(a, order):
+    """`a` as C-ordered, or F-ordered as the transpose of a C array (the layout of GRF fields)."""
+    return np.ascontiguousarray(a) if order == "C" else np.ascontiguousarray(a.T).T
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+class TestBufferedFieldScoresExact:
+    def fields(self, order):
+        rng = seeded_rng(21, "buffered")
+        common = rng.standard_normal((2000, 1))
+        return _in_layout(15.0 + 2.0 * common + 3.0 * rng.standard_normal((2000, 50)), order)
+
+    def test_energy_score(self, order):
+        x = self.fields(order)
+        y = 14.0 + seeded_rng(22, "obs").standard_normal(50)
+        assert x.flags[f"{order}_CONTIGUOUS"]
+        # two-row halves as well: a mean over 1000 rows hides a last-bit
+        # change in single row norms
+        pairs = [(x[:1000], x[1000:])] + [(x[i:i + 2], x[i + 2:i + 4]) for i in range(0, 2000, 4)]
+        got = [energy_score(a, b, y) for a, b in pairs]
+        assert _bits(got) == _bits([allocating_energy_score(a, b, y) for a, b in pairs])
+
+    def test_spatial_median(self, order):
+        x = self.fields(order)
+        assert _bits(spatial_median(x)) == _bits(allocating_spatial_median(x))
+
+    def test_spatial_median_through_on_point_step(self, order):
+        # the mean is exactly the first point (dyadic offsets cancel in the
+        # sum), but the unit directions do not cancel, so the iteration takes
+        # the shift step off that point and then carries on
+        rng = seeded_rng(23, "onpoint")
+        c = 15.0 + rng.integers(-5, 6, 50)
+        v = rng.integers(1, 41, (666, 50)) * rng.choice([-1.0, 1.0], (666, 50)) / 8.0
+        x = _in_layout(np.vstack([c, c + 2.0 * v, c - v, c - v]), order)
+        assert np.linalg.norm(x - x.mean(axis=0), axis=1).min() < 1e-12
+        got = spatial_median(x)
+        assert not np.array_equal(got, c)
+        assert _bits(got) == _bits(allocating_spatial_median(x))
+
+
 class TestMixtureMoments:
     def test_two_component_hand_case(self):
         w = np.array([0.5, 0.5])
@@ -251,12 +295,6 @@ class TestPitAndRanks:
         vals = [pit(d, float(y)) for y in rng.standard_normal(3000)]
         hist = pit_histogram(vals, n_bins=10)
         np.testing.assert_allclose(hist.frequencies(), 0.1, atol=0.03)
-
-    def test_sample_members_deterministic(self):
-        d = GaussianPredictive(0.0, 1.0)
-        a = sample_members(d, 7, seeded_rng(3, "s"))
-        b = sample_members(d, 7, seeded_rng(3, "s"))
-        np.testing.assert_array_equal(a, b)
 
 
 class TestBandDepth:
