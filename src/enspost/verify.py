@@ -252,6 +252,11 @@ def verification_rank(members, y: float, rng: np.random.Generator) -> int:
     return int(ranks[0])
 
 
+def sample_members(dist, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Discretize a continuous predictive into an n-member sample."""
+    return np.asarray(dist.sample(rng, n), dtype=float)
+
+
 def band_depth_preranks(vectors, rng: np.random.Generator) -> np.ndarray:
     """Band-depth pre-ranks of each vector within the set.
 

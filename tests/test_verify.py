@@ -29,6 +29,7 @@ from enspost.verify import (
     pit_histogram,
     rank_histogram,
     reliability_index,
+    sample_members,
     spatial_median,
     temp_difference_pit,
     threshold_prob,
@@ -295,6 +296,12 @@ class TestPitAndRanks:
         vals = [pit(d, float(y)) for y in rng.standard_normal(3000)]
         hist = pit_histogram(vals, n_bins=10)
         np.testing.assert_allclose(hist.frequencies(), 0.1, atol=0.03)
+
+    def test_sample_members_deterministic(self):
+        d = GaussianPredictive(0.0, 1.0)
+        a = sample_members(d, 7, seeded_rng(3, "s"))
+        b = sample_members(d, 7, seeded_rng(3, "s"))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestBandDepth:
