@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from enspost.experiment import ALL_COMBOS, ExperimentConfig, run_experiment
-from enspost.ingest import save_dataset
+from enspost.ingest import data_paths, save_dataset
 from enspost.synth import default_spec, generate
 
 
@@ -36,8 +36,7 @@ def main(argv=None) -> int:
 
     spec = default_spec(args.seed)
     data = generate(spec)
-    save_dataset(data, data_dir / "stations.csv", data_dir / "forecasts.csv",
-                 data_dir / "observations.csv")
+    save_dataset(data, *data_paths(data_dir))
     print(f"dataset: {data.n_days} days x {data.n_stations} stations x {data.members} members")
 
     thresholds = tuple(args.threshold) or (14.0, 18.0, 22.0)

@@ -22,7 +22,7 @@ from .core import (
 )
 from .ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from .experiment import ExperimentConfig, parse_experiment_config, run_experiment
-from .ingest import load_dataset, load_stations, rolling_windows, save_dataset
+from .ingest import data_paths, load_data_dir, load_dataset, load_stations, rolling_windows, save_dataset
 from .ngr import (
     NgrCParams,
     NgrPlusParams,
@@ -65,6 +65,7 @@ __all__ = [
     "build_correlation_matrix",
     "build_spatial_ngr",
     "crps_gaussian",
+    "data_paths",
     "ecc_quantiles",
     "ecc_reorder",
     "empirical_variogram",
@@ -75,6 +76,7 @@ __all__ = [
     "fit_variogram",
     "generate",
     "generate_with_truth",
+    "load_data_dir",
     "load_dataset",
     "load_stations",
     "parse_experiment_config",

@@ -89,7 +89,7 @@ def _member_rows(data: EnsembleDataset, window: TrainingWindow):
     return F, Y
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(a: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
     """log(sum(exp(a), axis=1)) for finite a, by scipy.special.logsumexp's arithmetic.
 
     The row maximum is taken out of the sum and counted once per tie:
@@ -97,15 +97,60 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     entries below the maximum and m the number of entries equal to it.
     scipy computes logsumexp this way from release 1.15 on, the lowest
     release pyproject allows; earlier releases return log(sum(exp(a - max)))
-    + max, which can differ in the last bit.
+    + max, which can differ in the last bit. exp(a - max) is formed in
+    `work`, an array laid out like a, so each row sums in the same order.
     """
-    a_max = a.max(axis=1, keepdims=True)
-    at_max = a == a_max
-    e = np.exp(a - a_max)
-    e[at_max] = 0.0
-    m = at_max.sum(axis=1, dtype=float)
-    s = e.sum(axis=1) / m
-    return np.log1p(s) + np.log(m) + a_max[:, 0]
+    if work is None:
+        work = np.empty_like(a)
+    a_max = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(a_max, a[:, j], out=a_max)
+    at_max = a == a_max[:, None]
+    np.subtract(a, a_max[:, None], out=work)
+    np.exp(work, out=work)
+    np.copyto(work, 0.0, where=at_max)
+    m = np.count_nonzero(at_max, axis=1).astype(float)
+    s = work.sum(axis=1) / m
+    return np.log1p(s) + np.log(m) + a_max
+
+
+def _em(mu: np.ndarray, y: np.ndarray, sigma2: float, em_tol: float, max_iter: int):
+    """EM for the weights and the shared variance of the (n, M) component means mu.
+
+    Starts from uniform weights; returns (w, sigma2, iterations, converged,
+    log-likelihood).
+    """
+    M = mu.shape[1]
+    w = np.full(M, 1.0 / M)
+    resid2 = (y[:, None] - mu) ** 2
+    half_resid2 = 0.5 * resid2
+    # the ufuncs of log w - half_resid2 / sigma2 - 0.5 log sigma2 - log sqrt(2 pi),
+    # in their order, in two C-ordered (n, M) buffers, so every sum keeps its order
+    log_comp = np.empty_like(half_resid2)
+    work = np.empty_like(half_resid2)
+    loglik_prev = -np.inf
+    n_iter = 0
+    converged = False
+    for n_iter in range(1, max_iter + 1):
+        np.divide(half_resid2, sigma2, out=log_comp)
+        np.subtract(np.log(np.maximum(w, 1e-300)), log_comp, out=log_comp)
+        np.subtract(log_comp, 0.5 * math.log(sigma2), out=log_comp)
+        np.subtract(log_comp, _LOG_SQRT_2PI, out=log_comp)
+        log_norm = _logsumexp_rows(log_comp, work)
+        loglik = float(log_norm.sum())
+        if loglik < loglik_prev - 1e-8:
+            raise RuntimeError(f"EM log-likelihood decreased: {loglik_prev} -> {loglik}")
+        if loglik - loglik_prev < em_tol:
+            loglik_prev = loglik
+            converged = True
+            break
+        loglik_prev = loglik
+        resp = np.exp(np.subtract(log_comp, log_norm[:, None], out=work), out=work)
+        w = resp.mean(axis=0)
+        w = np.clip(w, 0.0, None)
+        w /= w.sum()
+        sigma2 = max(float(np.multiply(resp, resid2, out=work).sum() / y.size), VARIANCE_FLOOR)
+    return w, sigma2, n_iter, converged, loglik_prev
 
 
 def fit_bma(
@@ -155,32 +200,11 @@ def fit_bma(
         raise ValueError("no complete cases (observation plus all members) for EM")
     mu = a + b * F[complete]             # (n, M)
 
-    w = np.full(M, 1.0 / M)
     sigma2 = max(ss_resid / max(n_resid, 1), VARIANCE_FLOOR)
-    resid2 = (y[:, None] - mu) ** 2
-    half_resid2 = 0.5 * resid2
-    loglik_prev = -np.inf
-    n_iter = 0
-    converged = False
-    for n_iter in range(1, max_iter + 1):
-        log_comp = np.log(np.maximum(w, 1e-300)) - half_resid2 / sigma2 - 0.5 * math.log(sigma2) - _LOG_SQRT_2PI
-        log_norm = _logsumexp_rows(log_comp)
-        loglik = float(log_norm.sum())
-        if loglik < loglik_prev - 1e-8:
-            raise RuntimeError(f"EM log-likelihood decreased: {loglik_prev} -> {loglik}")
-        if loglik - loglik_prev < em_tol:
-            loglik_prev = loglik
-            converged = True
-            break
-        loglik_prev = loglik
-        resp = np.exp(log_comp - log_norm[:, None])
-        w = resp.mean(axis=0)
-        w = np.clip(w, 0.0, None)
-        w /= w.sum()
-        sigma2 = max(float((resp * resid2).sum() / y.size), VARIANCE_FLOOR)
+    w, sigma2, n_iter, converged, loglik = _em(mu, y, sigma2, em_tol, max_iter)
     if not converged:
         warnings.warn(f"EM stopped after {max_iter} iterations without meeting tol {em_tol}", stacklevel=2)
-    return BmaParams(a=a, b=b, w=w, sigma2=float(sigma2), n_iter=n_iter, converged=converged, loglik=loglik_prev)
+    return BmaParams(a=a, b=b, w=w, sigma2=float(sigma2), n_iter=n_iter, converged=converged, loglik=loglik)
 
 
 def predict_bma(params: BmaParams, forecasts) -> MixturePredictive:

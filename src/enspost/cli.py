@@ -32,22 +32,13 @@ from .experiment import (
     run_experiment,
     validate_combo,
 )
-from .ingest import LoadError, load_dataset, read_key_values, rolling_windows, save_dataset
+from .ingest import LoadError, data_paths, load_data_dir, read_key_values, rolling_windows, save_dataset
 from .spatial import VariogramFit, build_correlation_matrix, build_spatial_ngr, sample_fields
 from .synth import generate, parse_synth_spec
 
 log = logging.getLogger(__name__)
 
 FIELDS_HEADER = ("sample", "station_id", "value_c", "provenance")
-
-
-def _data_paths(data_dir: str) -> tuple[Path, Path, Path]:
-    root = Path(data_dir)
-    return root / "stations.csv", root / "forecasts.csv", root / "observations.csv"
-
-
-def _load(data_dir: str):
-    return load_dataset(*_data_paths(data_dir))
 
 
 def _fmt(value: float) -> str:
@@ -98,13 +89,13 @@ def cmd_synth(args) -> int:
     data = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_dataset(data, *_data_paths(out))
+    save_dataset(data, *data_paths(out))
     print(f"wrote {data.n_days} days x {data.n_stations} stations x {data.members} members to {out}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    data = _load(args.data)
+    data = load_data_dir(args.data)
     window = _window_for(data, args.day, args.window)
     params = _fit_params(data, window, args.method)
     doc = _params_doc(params, args.method, window)
@@ -124,7 +115,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    data = _load(args.data)
+    data = load_data_dir(args.data)
     with open(args.params) as fh:
         doc = json.load(fh)
     method, params = _params_from_doc(doc)
@@ -141,7 +132,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    data = _load(args.data)
+    data = load_data_dir(args.data)
     with open(args.params) as fh:
         doc = json.load(fh)
     method, params = _params_from_doc(doc)
@@ -206,6 +197,8 @@ def load_fields_csv(path) -> ForecastFieldSample:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(FIELDS_HEADER):
+                raise LoadError(f"{path} line {reader.line_num}: expected {len(FIELDS_HEADER)} fields, got {len(row)}")
             idx = int(row[0])
             per_sample.setdefault(idx, []).append((row[1], float(row[2])))
             if provenance is None:
@@ -225,7 +218,7 @@ def load_fields_csv(path) -> ForecastFieldSample:
 
 
 def cmd_verify(args) -> int:
-    data = _load(args.data)
+    data = load_data_dir(args.data)
     sample = load_fields_csv(args.fields)
     day = args.day
     t = data.day_index(day)

@@ -28,7 +28,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .core import (
     seeded_rng,
 )
 from .ecc import ecc_levels, ecc_reorder, rank_permutation
-from .ingest import load_dataset, rolling_windows
+from .ingest import load_data_dir, rolling_windows
 from .spatial import (
     build_correlation_matrix,
     build_spatial_ngr,
@@ -287,11 +287,7 @@ def _mixture_field_moments(params, fc: np.ndarray, stations: StationSet):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = load_dataset(
-        Path(cfg.data_dir) / "stations.csv",
-        Path(cfg.data_dir) / "forecasts.csv",
-        Path(cfg.data_dir) / "observations.csv",
-    )
+    data = load_data_dir(cfg.data_dir)
     for sid in cfg.region:
         if sid not in data.stations:
             raise ValueError(f"region station {sid!r} not in the dataset")

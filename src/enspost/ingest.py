@@ -9,6 +9,11 @@ observations.csv  date,station_id,value_c
 
 Missing values are empty fields; absent rows mean the same thing. Duplicate
 keys are load errors that name the offending line.
+
+A dataset directory holds the three files under those names. load_data_dir
+parses them once and keeps the parsed arrays in `.enspost-cache.npz` beside
+them, keyed by the files' contents; later loads of unchanged files read the
+arrays back instead of parsing. The cache may be deleted at any time.
 """
 
 from __future__ import annotations
@@ -16,10 +21,17 @@ from __future__ import annotations
 import bisect
 import contextlib
 import csv
+import hashlib
 import itertools
+import json
+import locale
 import logging
 import math
+import os
+import tempfile
 import warnings
+import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -189,6 +201,95 @@ def load_dataset(stations_path, forecasts_path, observations_path) -> EnsembleDa
         len(stations), len(days), n_members, len(member), len(ob_values), int(dataset.eliminated.sum()),
     )
     return dataset
+
+
+DATA_FILES = ("stations.csv", "forecasts.csv", "observations.csv")
+CACHE_FILE = ".enspost-cache.npz"
+# Changes whenever the arrays a parse yields for given file bytes, or the
+# cache layout, could change.
+_CACHE_FORMAT = "enspost dataset cache 1"
+
+
+def data_paths(root) -> tuple[Path, Path, Path]:
+    """The stations, forecasts and observations CSVs of a dataset directory."""
+    root = Path(root)
+    return tuple(root / name for name in DATA_FILES)
+
+
+def _content_key(paths) -> str:
+    # the parse reads the CSVs as text in the locale's encoding, so the same bytes may parse otherwise under another
+    h = hashlib.sha256(f"{_CACHE_FORMAT} {locale.getpreferredencoding(False)}".encode())
+    for path in paths:
+        with open(path, "rb") as fh:
+            h.update(hashlib.file_digest(fh, "sha256").digest())
+    return h.hexdigest()
+
+
+def _read_cache(path, key):
+    """The dataset stored in the cache at path under key, or None.
+
+    The arrays go through the Station, StationSet and EnsembleDataset
+    constructors, so their checks run on a hit as on a parse.
+    """
+    with np.load(path, allow_pickle=False) as z:
+        meta = json.loads(z["meta"].tobytes())
+        if meta["key"] != key:
+            return None
+        x, y, lon, lat = z["coords"].tolist()
+        lon_none, lat_none = z["coords_none"].tolist()
+        stations = StationSet(
+            Station(sid, x[i], y[i], None if lon_none[i] else lon[i], None if lat_none[i] else lat[i])
+            for i, sid in enumerate(meta["ids"]))
+        return EnsembleDataset(stations, meta["days"], z["forecasts"], z["observations"])
+
+
+def _write_cache(path, key, data: EnsembleDataset) -> None:
+    """Store data under key by an atomic replace; a directory that refuses the write is left as it is."""
+    # lon/lat None and NaN stay apart, and floats keep their bits, NaN payloads included
+    coords = np.array([[getattr(s, c) for s in data.stations] for c in ("x", "y", "lon", "lat")], dtype=float)
+    coords_none = np.array([[getattr(s, c) is None for s in data.stations] for c in ("lon", "lat")], dtype=bool)
+    # one JSON text, since fixed-width numpy strings drop a trailing "\0"
+    meta = json.dumps({"key": key, "ids": data.stations.ids, "days": data.days}).encode()
+    tmp = None
+    try:
+        with tempfile.NamedTemporaryFile(dir=Path(path).parent, prefix=CACHE_FILE, suffix=".tmp", delete=False) as fh:
+            tmp = fh.name
+            np.savez(fh, meta=np.frombuffer(meta, dtype=np.uint8), coords=coords, coords_none=coords_none,
+                     forecasts=data.forecasts, observations=data.observations)
+        os.replace(tmp, path)
+    except OSError as exc:
+        log.info("dataset cache %s not written: %s", path, exc)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def load_data_dir(root) -> EnsembleDataset:
+    """The dataset of a directory holding the three CSV files.
+
+    Equal, byte for byte, to load_dataset(*data_paths(root)). The first load
+    of given file contents parses them and stores the arrays in
+    root/.enspost-cache.npz, keyed by a SHA-256 over the three files' bytes;
+    a later load whose key matches reads the arrays back without parsing.
+    A cache that cannot be read or holds another key counts as absent and
+    is overwritten.
+    """
+    paths = data_paths(root)
+    cache = Path(root) / CACHE_FILE
+    try:
+        key = _content_key(paths)
+    except OSError:
+        return load_dataset(*paths)  # the parse reports the missing file
+    with contextlib.suppress(OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        data = _read_cache(cache, key)
+        if data is not None:
+            log.info("loaded %s from %s", root, cache)
+            return data
+    data = load_dataset(*paths)
+    with contextlib.suppress(OSError):
+        if _content_key(paths) == key:  # no file changed while it was parsed
+            _write_cache(cache, key, data)
+    return data
 
 
 def _fmt(value) -> str:

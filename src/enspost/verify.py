@@ -117,6 +117,8 @@ def energy_score(x, x_prime, y) -> float:
         raise ValueError("x, x_prime must be (n, d) with d matching y")
     buf = np.empty_like(x)
     term_y = _row_norms(x, y, buf).mean()
+    if x.strides != x_prime.strides:
+        buf = np.subtract(x, x_prime)  # numpy lays x - x_prime out by both operands, not by x alone
     term_x = _row_norms(x, x_prime, buf).mean()
     return float(term_y - 0.5 * term_x)
 
@@ -250,11 +252,6 @@ def verification_rank(members, y: float, rng: np.random.Generator) -> int:
     ranks = np.empty(pool.size, dtype=int)
     ranks[order] = np.arange(1, pool.size + 1)
     return int(ranks[0])
-
-
-def sample_members(dist, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Discretize a continuous predictive into an n-member sample."""
-    return np.asarray(dist.sample(rng, n), dtype=float)
 
 
 def band_depth_preranks(vectors, rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,11 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from enspost.core import EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
+from enspost.core import VARIANCE_FLOOR, EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
 from enspost.ingest import LoadError
 from enspost.spatial import cholesky_with_jitter
 
@@ -94,6 +95,41 @@ def allocating_grf_fields(pred, n_samples, rng):
     L, _ = cholesky_with_jitter(pred.correlation)
     z = rng.standard_normal((pred.dim, n_samples))
     return (pred.mu[:, None] + pred.scale[:, None] * (L @ z)).T
+
+
+def allocating_em(mu, y, sigma2, em_tol, max_iter):
+    """The BMA EM iteration with fresh temporaries, which bma._em must reproduce bit for bit."""
+
+    def logsumexp_rows(a):
+        a_max = a.max(axis=1, keepdims=True)
+        at_max = a == a_max
+        e = np.exp(a - a_max)
+        e[at_max] = 0.0
+        m = at_max.sum(axis=1, dtype=float)
+        s = e.sum(axis=1) / m
+        return np.log1p(s) + np.log(m) + a_max[:, 0]
+
+    w = np.full(mu.shape[1], 1.0 / mu.shape[1])
+    resid2 = (y[:, None] - mu) ** 2
+    half_resid2 = 0.5 * resid2
+    loglik_prev = -np.inf
+    n_iter = 0
+    converged = False
+    for n_iter in range(1, max_iter + 1):
+        log_comp = np.log(np.maximum(w, 1e-300)) - half_resid2 / sigma2 - 0.5 * math.log(sigma2) - 0.5 * math.log(2.0 * math.pi)
+        log_norm = logsumexp_rows(log_comp)
+        loglik = float(log_norm.sum())
+        if loglik - loglik_prev < em_tol:
+            loglik_prev = loglik
+            converged = True
+            break
+        loglik_prev = loglik
+        resp = np.exp(log_comp - log_norm[:, None])
+        w = resp.mean(axis=0)
+        w = np.clip(w, 0.0, None)
+        w /= w.sum()
+        sigma2 = max(float((resp * resid2).sum() / y.size), VARIANCE_FLOOR)
+    return w, sigma2, n_iter, converged, loglik_prev
 
 
 def rowwise_load_dataset(stations_path, forecasts_path, observations_path):

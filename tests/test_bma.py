@@ -5,6 +5,7 @@ import pytest
 
 from scipy.special import logsumexp
 
+from enspost import bma as bma_mod
 from enspost.core import EnsembleDataset, MixturePredictive, mixture_quantiles, seeded_rng
 from enspost.bma import (
     BmaParams,
@@ -16,8 +17,8 @@ from enspost.bma import (
     predict_bma,
     sample_spatial_bma,
 )
-from enspost.synth import BmaTruth, SynthSpec, generate
-from tests.conftest import last_window, make_dataset, make_stations, scalar_bisection
+from enspost.synth import BmaTruth, SynthSpec, default_spec, generate
+from tests.conftest import allocating_em, last_window, make_dataset, scalar_bisection
 
 
 def bma_dataset(seed=0, *, weights=(0.5, 0.3, 0.2), sigma2=1.0, n_days=40, n_stations=30, theta=1.0):
@@ -167,6 +168,42 @@ class TestLogSumExpRows:
         a[50:100, 1] = a[50:100, 0] = a[50:100].max(axis=1)
         assert (np.sum(a == a.max(axis=1, keepdims=True), axis=1) > 1).sum() > 100
         assert _logsumexp_rows(a).tolist() == logsumexp(a, axis=1).tolist()
+
+
+class TestBufferedEmExact:
+    """fit_bma's EM gives the bits of the allocating iteration it replaced."""
+
+    def case(self, name):
+        if name == "cap":  # the CLI tests' panel, on which EM stops at 500 iterations
+            data = generate(default_spec(3, n_stations=8, n_days=18, n_members=5))
+            return data, last_window(data, 14), 500
+        if name == "tied":  # twin members: their components tie at every row's maximum they reach
+            data = make_dataset(n_days=30, n_stations=10, n_members=3, seed=12)
+            fc = np.array(data.forecasts)
+            fc[:, :, 1] = fc[:, :, 0]
+            data = EnsembleDataset(data.stations, data.days, fc, data.observations)
+            return data, last_window(data, 25), 500
+        if name == "season":  # 2500 rows by 20 members, as on the desk season
+            data = generate(default_spec(1, n_stations=100, n_days=27, n_members=20))
+            return data, last_window(data, 25), 500
+        data = bma_dataset(seed=2)
+        return data, last_window(data, 25), 3
+
+    @pytest.mark.parametrize("name", ["cap", "tied", "season", "three_iterations"])
+    def test_equals_allocating_em(self, name, monkeypatch):
+        data, window, max_iter = self.case(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = fit_bma(data, window, max_iter=max_iter)
+            monkeypatch.setattr(bma_mod, "_em", allocating_em)
+            want = fit_bma(data, window, max_iter=max_iter)
+        if name == "cap":
+            assert got.n_iter == 500 and not got.converged
+        if name == "tied":
+            assert got.a[0] == got.a[1] and got.b[0] == got.b[1] and got.w[0] == got.w[1]
+        assert got.w.tobytes() == want.w.tobytes()
+        assert (got.sigma2, got.n_iter, got.converged) == (want.sigma2, want.n_iter, want.converged)
+        assert np.float64(got.loglik).tobytes() == np.float64(want.loglik).tobytes()
 
 
 class TestSpatialBma:

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from enspost import ingest
 from enspost.bma import params_from_json, predict_bma
 from enspost.cli import load_fields_csv, main
-from enspost.ingest import load_dataset, save_dataset
-from enspost.synth import default_spec, generate
+from enspost.ingest import LoadError, load_dataset
 from enspost.verify import ScoreTable
 
 SPEC_TEXT = """# compact panel for pipeline runs
@@ -125,6 +125,20 @@ class TestFitPredictChain:
             assert sample.provenance == prov, (method, spatial)
             assert sample.fields.shape == (n_expected, 8)
 
+    def test_predict_after_fit_reads_the_cache(self, tmp_path, monkeypatch):
+        spec, data, params = tmp_path / "spec.txt", tmp_path / "data", tmp_path / "p.json"
+        spec.write_text(SPEC_TEXT)
+        assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+        assert main(["fit", "--data", str(data), "--method", "ngr+", "--day", "2024-01-18",
+                     "--window", "14", "--out", str(params)]) == 0
+
+        def parse(*paths):
+            raise AssertionError("predict parsed the CSVs again")
+        monkeypatch.setattr(ingest, "load_dataset", parse)
+        assert main(["predict", "--data", str(data), "--params", str(params),
+                     "--out", str(tmp_path / "pred.csv")]) == 0
+        assert len(read_rows(tmp_path / "pred.csv")) == 8
+
     def test_ecc_sample_marginals_are_quantiles(self, workspace):
         # reordering must not change the per-station value sets
         fields = workspace / "ngr+-ecc.fields.csv"
@@ -226,6 +240,17 @@ class TestErrorPaths:
         bad.write_text("\n".join([good[0]] + good[2:]) + "\n")  # drop one row
         with pytest.raises(ValueError):
             load_fields_csv(bad)
+
+    def test_fields_csv_row_of_wrong_width_names_its_line(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("sample,station_id,value_c,provenance\n1,S1,15.0,independent\n\n2,S1\n")
+        with pytest.raises(LoadError) as got:
+            load_fields_csv(bad)
+        assert str(got.value) == f"{bad} line 4: expected 4 fields, got 2"
+        rc = main(["verify", "--fields", str(bad), "--data", str(workspace / "data"),
+                   "--day", "2024-01-18", "--out", str(tmp_path / "scores")])
+        assert rc == 1
+        assert f"error: {bad} line 4: expected 4 fields, got 2" in capsys.readouterr().err
 
 
 def test_console_entry_point_matches_main():

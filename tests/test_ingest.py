@@ -1,8 +1,18 @@
+import os
+import re
+import shutil
+
 import numpy as np
 import pytest
 
+from enspost import ingest
+from enspost.core import EnsembleDataset, Station, StationSet
 from enspost.ingest import (
+    CACHE_FILE,
+    DATA_FILES,
     LoadError,
+    data_paths,
+    load_data_dir,
     load_dataset,
     load_stations,
     read_key_values,
@@ -178,6 +188,114 @@ class TestLoadErrors:
         assert got.stations.coords.tobytes() == want.stations.coords.tobytes()
         assert got.forecasts.tobytes() == want.forecasts.tobytes()
         assert got.observations.tobytes() == want.observations.tobytes()
+
+
+def write_season(root, seed=5):
+    """A gapped season with absent rows, blank and nan lon/lat, a trailing-NUL id and a -nan value."""
+    root.mkdir(parents=True, exist_ok=True)
+    data = generate(default_spec(seed, n_stations=5, n_days=12, n_members=4))
+    rng = np.random.default_rng(seed)
+    fc = np.where(rng.random(data.forecasts.shape) < 0.05, np.nan, data.forecasts)
+    obs = np.where(rng.random(data.observations.shape) < 0.05, np.nan, data.observations)
+    ids = ("S0\0", "S1", "S2", "S3", "S4")
+    stations = StationSet(Station(sid, s.x, s.y) for sid, s in zip(ids, data.stations))
+    paths = data_paths(root)
+    save_dataset(EnsembleDataset(stations, data.days, fc, obs), *paths)
+    lon_lat = [("", "nan"), ("nan", ""), ("7.25", "-nan"), ("", ""), ("1e3", "48.5")]
+    paths[0].write_text("station_id,lon,lat,x_km,y_km\n" + "".join(
+        f"{sid},{lon},{lat},{s.x!r},{s.y!r}\n" for sid, (lon, lat), s in zip(ids, lon_lat, stations)))
+    lines = paths[1].read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",-nan\n"
+    paths[1].write_text("".join(line for i, line in enumerate(lines) if i % 7 != 6))
+    return paths
+
+
+def fingerprint(data):
+    """Everything a load yields, floats as their bits and None kept apart from nan."""
+    def bits(v):
+        return None if v is None else np.float64(v).tobytes()
+    return (data.days, data.stations.ids,
+            [tuple(bits(getattr(s, c)) for c in ("x", "y", "lon", "lat")) for s in data.stations],
+            data.forecasts.tobytes(), data.observations.tobytes())
+
+
+def forbid_parse(monkeypatch):
+    def parse(*paths):
+        raise AssertionError("the CSVs were parsed")
+    monkeypatch.setattr(ingest, "load_dataset", parse)
+
+
+class TestDataDirCache:
+    def test_hit_equals_parse_byte_for_byte(self, tmp_path, monkeypatch):
+        paths = write_season(tmp_path)
+        parsed = load_dataset(*paths)
+        lon = [s.lon for s in parsed.stations]
+        assert lon[0] is None and np.isnan(lon[1]) and parsed.stations.ids[0] == "S0\0"
+        assert np.signbit(parsed.forecasts[0, 0, 0]) and np.isnan(parsed.forecasts[0, 0, 0])
+        assert np.isnan(parsed.forecasts).any() and np.isnan(parsed.observations).any()
+        assert fingerprint(load_data_dir(tmp_path)) == fingerprint(parsed)
+        assert (tmp_path / CACHE_FILE).is_file()
+        forbid_parse(monkeypatch)
+        assert fingerprint(load_data_dir(tmp_path)) == fingerprint(parsed)
+
+    @pytest.mark.parametrize("name", DATA_FILES)
+    def test_same_size_edit_is_seen(self, tmp_path, name):
+        write_season(tmp_path)
+        before = load_data_dir(tmp_path)
+        path = tmp_path / name
+        old, blob = path.stat(), bytearray(path.read_bytes())
+        # the first decimal of the last number that ends a line
+        i = max(m.start(1) for m in re.finditer(rb"\.([0-8])[0-9]*\r?\n", blob))
+        blob[i] += 1
+        path.write_bytes(blob)
+        os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (old.st_size, old.st_mtime_ns)
+        after = load_data_dir(tmp_path)
+        assert fingerprint(after) == fingerprint(load_dataset(*data_paths(tmp_path)))
+        assert fingerprint(after) != fingerprint(before)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_a_zip", "missing_array", "stale_key"])
+    def test_unreadable_cache_is_replaced(self, tmp_path, monkeypatch, damage):
+        paths = write_season(tmp_path / "data")
+        load_data_dir(tmp_path / "data")
+        cache = tmp_path / "data" / CACHE_FILE
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+        elif damage == "not_a_zip":
+            cache.write_bytes(b"not a zip file\n")
+        elif damage == "missing_array":
+            with np.load(cache) as z:
+                kept = {k: z[k] for k in z.files if k != "forecasts"}
+            with open(cache, "wb") as fh:
+                np.savez(fh, **kept)
+        else:
+            write_season(tmp_path / "other", seed=6)
+            load_data_dir(tmp_path / "other")
+            shutil.copyfile(tmp_path / "other" / CACHE_FILE, cache)
+        parsed = load_dataset(*paths)
+        assert fingerprint(load_data_dir(tmp_path / "data")) == fingerprint(parsed)
+        forbid_parse(monkeypatch)
+        assert fingerprint(load_data_dir(tmp_path / "data")) == fingerprint(parsed)
+
+    def test_failed_replace_still_loads(self, tmp_path, monkeypatch):
+        paths = write_season(tmp_path)
+
+        def refuse(src, dst):
+            raise PermissionError(13, "read-only", str(dst))
+        monkeypatch.setattr(ingest.os, "replace", refuse)
+        assert fingerprint(load_data_dir(tmp_path)) == fingerprint(load_dataset(*paths))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DATA_FILES)
+
+    def test_bad_csv_raises_the_same_error_every_call(self, tmp_path):
+        paths = write_season(tmp_path)
+        paths[2].write_text(paths[2].read_text() + "2024-01-01,S1,warm\n")
+        with pytest.raises(LoadError) as parsed:
+            load_dataset(*paths)
+        for _ in range(2):
+            with pytest.raises(LoadError) as got:
+                load_data_dir(tmp_path)
+            assert str(got.value) == str(parsed.value)
+        assert not (tmp_path / CACHE_FILE).exists()
 
 
 class TestRollingWindows:

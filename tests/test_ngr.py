@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enspost.core import GaussianPredictive, Station, TrainingWindow, seeded_rng
+from enspost.core import GaussianPredictive, Station, TrainingWindow
 from enspost.ngr import (
     NgrPlusParams,
     crps_gaussian,

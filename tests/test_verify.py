@@ -29,7 +29,6 @@ from enspost.verify import (
     pit_histogram,
     rank_histogram,
     reliability_index,
-    sample_members,
     spatial_median,
     temp_difference_pit,
     threshold_prob,
@@ -217,6 +216,15 @@ class TestBufferedFieldScoresExact:
         got = [energy_score(a, b, y) for a, b in pairs]
         assert _bits(got) == _bits([allocating_energy_score(a, b, y) for a, b in pairs])
 
+    def test_energy_score_mixed_layouts(self, order):
+        # x in one layout, x_prime in the other: numpy lays x - x_prime out C-ordered
+        x = self.fields(order)
+        x_prime = _in_layout(15.0 + 3.0 * seeded_rng(24, "other").standard_normal((2000, 50)), "F" if order == "C" else "C")
+        y = 14.0 + seeded_rng(22, "obs").standard_normal(50)
+        pairs = [(x[:1000], x_prime[1000:])] + [(x[i:i + 2], x_prime[i + 2:i + 4]) for i in range(0, 2000, 4)]
+        got = [energy_score(a, b, y) for a, b in pairs]
+        assert _bits(got) == _bits([allocating_energy_score(a, b, y) for a, b in pairs])
+
     def test_spatial_median(self, order):
         x = self.fields(order)
         assert _bits(spatial_median(x)) == _bits(allocating_spatial_median(x))
@@ -296,12 +304,6 @@ class TestPitAndRanks:
         vals = [pit(d, float(y)) for y in rng.standard_normal(3000)]
         hist = pit_histogram(vals, n_bins=10)
         np.testing.assert_allclose(hist.frequencies(), 0.1, atol=0.03)
-
-    def test_sample_members_deterministic(self):
-        d = GaussianPredictive(0.0, 1.0)
-        a = sample_members(d, 7, seeded_rng(3, "s"))
-        b = sample_members(d, 7, seeded_rng(3, "s"))
-        np.testing.assert_array_equal(a, b)
 
 
 class TestBandDepth:
