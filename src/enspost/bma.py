@@ -89,7 +89,7 @@ def _member_rows(data: EnsembleDataset, window: TrainingWindow):
     return F, Y
 
 
-def _logsumexp_rows(a: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+def _logsumexp_rows(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)) for finite a, by scipy.special.logsumexp's arithmetic.
 
     The row maximum is taken out of the sum and counted once per tie:
@@ -100,8 +100,6 @@ def _logsumexp_rows(a: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndar
     + max, which can differ in the last bit. exp(a - max) is formed in
     `work`, an array laid out like a, so each row sums in the same order.
     """
-    if work is None:
-        work = np.empty_like(a)
     a_max = a[:, 0].copy()
     for j in range(1, a.shape[1]):
         np.maximum(a_max, a[:, j], out=a_max)

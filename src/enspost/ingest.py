@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .core import EnsembleDataset, Station, StationSet, TrainingWindow
 
 log = logging.getLogger(__name__)
@@ -205,9 +206,9 @@ def load_dataset(stations_path, forecasts_path, observations_path) -> EnsembleDa
 
 DATA_FILES = ("stations.csv", "forecasts.csv", "observations.csv")
 CACHE_FILE = ".enspost-cache.npz"
-# Changes whenever the arrays a parse yields for given file bytes, or the
-# cache layout, could change.
-_CACHE_FORMAT = "enspost dataset cache 1"
+# The code that turns CSV bytes into a dataset and lays out the cache: its
+# source is part of the key, so a changed parser never reads an old cache.
+_PARSER_SOURCES = (Path(__file__), Path(core.__file__))
 
 
 def data_paths(root) -> tuple[Path, Path, Path]:
@@ -216,12 +217,20 @@ def data_paths(root) -> tuple[Path, Path, Path]:
     return tuple(root / name for name in DATA_FILES)
 
 
+def _digest(path) -> bytes:
+    """SHA-256 of a file's bytes, read in blocks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.digest()
+
+
 def _content_key(paths) -> str:
     # the parse reads the CSVs as text in the locale's encoding, so the same bytes may parse otherwise under another
-    h = hashlib.sha256(f"{_CACHE_FORMAT} {locale.getpreferredencoding(False)}".encode())
-    for path in paths:
-        with open(path, "rb") as fh:
-            h.update(hashlib.file_digest(fh, "sha256").digest())
+    h = hashlib.sha256(locale.getpreferredencoding(False).encode())
+    for path in (*_PARSER_SOURCES, *paths):
+        h.update(_digest(path))
     return h.hexdigest()
 
 
@@ -269,8 +278,9 @@ def load_data_dir(root) -> EnsembleDataset:
 
     Equal, byte for byte, to load_dataset(*data_paths(root)). The first load
     of given file contents parses them and stores the arrays in
-    root/.enspost-cache.npz, keyed by a SHA-256 over the three files' bytes;
-    a later load whose key matches reads the arrays back without parsing.
+    root/.enspost-cache.npz, keyed by a SHA-256 over the three files' bytes
+    and the parser's own source; a later load whose key matches reads the
+    arrays back without parsing.
     A cache that cannot be read or holds another key counts as absent and
     is overwritten.
     """

@@ -286,6 +286,42 @@ class TestDataDirCache:
         assert fingerprint(load_data_dir(tmp_path)) == fingerprint(load_dataset(*paths))
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DATA_FILES)
 
+    @pytest.mark.parametrize("source", ["ingest.py", "core.py"])
+    def test_parser_change_is_a_miss(self, tmp_path, monkeypatch, source):
+        # copies of the parser's source stand in for the installed files
+        copies = []
+        for path in ingest._PARSER_SOURCES:
+            copies.append(tmp_path / "src" / path.name)
+            copies[-1].parent.mkdir(exist_ok=True)
+            shutil.copyfile(path, copies[-1])
+        monkeypatch.setattr(ingest, "_PARSER_SOURCES", tuple(copies))
+        paths = write_season(tmp_path / "data")
+        parses = []
+
+        def counted(*p):
+            parses.append(p)
+            return load_dataset(*p)
+        monkeypatch.setattr(ingest, "load_dataset", counted)
+        load_data_dir(tmp_path / "data")
+        load_data_dir(tmp_path / "data")
+        assert len(parses) == 1
+        edited = tmp_path / "src" / source
+        edited.write_text(edited.read_text() + "\n# a later parser\n")
+        got = load_data_dir(tmp_path / "data")
+        assert len(parses) == 2
+        assert fingerprint(got) == fingerprint(load_dataset(*paths))
+        load_data_dir(tmp_path / "data")
+        assert len(parses) == 2
+
+    def test_key_needs_no_file_digest(self, tmp_path, monkeypatch):
+        # hashlib.file_digest is new in Python 3.11; pyproject allows 3.10
+        monkeypatch.delattr(ingest.hashlib, "file_digest", raising=False)
+        paths = write_season(tmp_path)
+        first = load_data_dir(tmp_path)
+        forbid_parse(monkeypatch)
+        assert fingerprint(load_data_dir(tmp_path)) == fingerprint(first)
+        assert ingest._content_key(paths) == ingest._content_key(paths)
+
     def test_bad_csv_raises_the_same_error_every_call(self, tmp_path):
         paths = write_season(tmp_path)
         paths[2].write_text(paths[2].read_text() + "2024-01-01,S1,warm\n")
