@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     StationSet,
     TrainingWindow,
     _readonly,
+    impute,
 )
 from .spatial import (
     StandardizedErrorPanel,
@@ -80,13 +81,6 @@ class SpatialBmaParams:
         object.__setattr__(self, "variograms", tuple(self.variograms))
         if len(self.variograms) != self.bma.members:
             raise ValueError("one variogram fit per member required")
-
-
-def _member_rows(data: EnsembleDataset, window: TrainingWindow):
-    day_idx = np.array([data.day_index(d) for d in window.training_days])
-    F = data.forecasts[day_idx]          # (T, S, M)
-    Y = data.observations[day_idx]       # (T, S)
-    return F, Y
 
 
 def _logsumexp_rows(a: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -165,7 +159,7 @@ def fit_bma(
     log-likelihood gain drops below em_tol. The log-likelihood never
     decreases; a decrease beyond rounding is an error.
     """
-    F, Y = _member_rows(data, window)
+    F, Y = data.training_panels(window)
     M = data.members
     obs_ok = ~np.isnan(Y)
     if not obs_ok.any():
@@ -237,7 +231,7 @@ def fit_spatial_bma(
     Members whose panel cannot support a fit fall back to a variogram fitted
     on the residuals of all members pooled, with a warning.
     """
-    F, Y = _member_rows(data, window)
+    F, Y = data.training_panels(window)
     if bma.members != data.members:
         raise ValueError("parameter member count does not match the dataset")
     sigma = math.sqrt(bma.sigma2)
@@ -280,8 +274,6 @@ def sample_spatial_bma(
     stations: StationSet,
     n_samples: int,
     rng: np.random.Generator,
-    *,
-    seed: Optional[int] = None,
 ) -> ForecastFieldSample:
     """Whole-field mixture sampling.
 
@@ -292,15 +284,11 @@ def sample_spatial_bma(
     """
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
-    f = np.array(forecasts, dtype=float)
+    f, _, count = impute(forecasts)
     if f.shape != (len(stations), params.bma.members):
         raise ValueError(f"forecasts shape {f.shape} does not match (n_stations, members)")
-    missing = np.isnan(f)
-    if missing.any():
-        row_mean = np.nanmean(np.where(missing, np.nan, f), axis=1)
-        if np.isnan(row_mean).any():
-            raise ValueError("station with no member forecasts at all")
-        f = np.where(missing, row_mean[:, None], f)
+    if np.any(count == 0):
+        raise ValueError("station with no member forecasts at all")
 
     bma = params.bma
     sigma = math.sqrt(bma.sigma2)
@@ -313,7 +301,7 @@ def sample_spatial_bma(
         z = rng.standard_normal((len(stations), rows.size))
         mu_field = bma.a[m] + bma.b[m] * f[:, m]
         fields[rows] = (mu_field[:, None] + sigma * (L @ z)).T
-    return ForecastFieldSample(stations.ids, fields, "spatial-bma", seed)
+    return ForecastFieldSample(stations.ids, fields, "spatial-bma")
 
 
 def params_to_json(params: BmaParams, target_day: str, window_days: Sequence[str] = ()) -> dict:

@@ -10,30 +10,27 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import bma as bma_mod
-from . import ngr as ngr_mod
 from . import verify as verify_mod
 from .core import ForecastFieldSample, StationSet, seeded_rng
-from .ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from .experiment import (
-    _fit_day_variogram,
-    _impute_row,
-    _independent_fields,
-    _predict_day,
-    _variogram_doc,
+    METHODS,
+    draw_fields,
+    fit_spatial,
     parse_experiment_config,
+    predict_day,
+    read_params,
     run_experiment,
     validate_combo,
+    write_params,
 )
 from .ingest import LoadError, data_paths, load_data_dir, read_key_values, rolling_windows, save_dataset
-from .spatial import VariogramFit, build_correlation_matrix, build_spatial_ngr, sample_fields
+from .spatial import build_correlation_matrix  # noqa: F401 (perfbench's traced-run test restores it by this name)
 from .synth import generate, parse_synth_spec
 
 log = logging.getLogger(__name__)
@@ -52,29 +49,6 @@ def _window_for(data, day: str, window_length: int):
     raise ValueError(
         f"day {day!r} has no full {window_length}-day training window in this dataset"
     )
-
-
-def _fit_params(data, window, method: str, init=None):
-    if method == "ngr+":
-        return ngr_mod.fit_ngr_plus(data, window, init=init)
-    if method == "ngrc":
-        return ngr_mod.fit_ngr_c(data, window)
-    return bma_mod.fit_bma(data, window)
-
-
-def _params_doc(params, method: str, window) -> dict:
-    if method in ("ngr+", "ngrc"):
-        return ngr_mod.params_to_json(params, window.target_day, window.training_days)
-    return bma_mod.params_to_json(params, window.target_day, window.training_days)
-
-
-def _params_from_doc(doc: dict):
-    method = doc.get("method")
-    if method in ("ngr+", "ngrc"):
-        return method, ngr_mod.params_from_json(doc)
-    if method == "bma":
-        return method, bma_mod.params_from_json(doc)
-    raise ValueError(f"parameter file has unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +71,18 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     data = load_data_dir(args.data)
     window = _window_for(data, args.day, args.window)
-    params = _fit_params(data, window, args.method)
-    doc = _params_doc(params, args.method, window)
-    if args.spatial == "grf":
-        validate_combo(args.method, "grf")
-        fit = _fit_day_variogram(args.method, params, data, window, data.stations)
-        doc["variogram"] = _variogram_doc(fit)
-    elif args.spatial == "spatial-bma":
-        validate_combo(args.method, "spatial-bma")
-        sp = bma_mod.fit_spatial_bma(data, window, params)
-        doc["member_variograms"] = [_variogram_doc(f) for f in sp.variograms]
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    validate_combo(args.method, args.spatial)
+    params = METHODS[args.method].fit(data, window, None)
+    write_params(args.out, args.method, params, window, fit_spatial(args.spatial, args.method, params, data, window))
     print(f"fitted {args.method} for {args.day} -> {args.out}")
     return 0
 
 
 def cmd_predict(args) -> int:
     data = load_data_dir(args.data)
-    with open(args.params) as fh:
-        doc = json.load(fh)
-    method, params = _params_from_doc(doc)
+    doc, method, params, _ = read_params(args.params)
     day = args.day or doc["target_day"]
-    preds = _predict_day(method, params, data, data.day_index(day))
+    preds = predict_day(method, params, data, data.day_index(day))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("station_id", "mean", "sd"))
@@ -133,48 +95,18 @@ def cmd_predict(args) -> int:
 
 def cmd_sample(args) -> int:
     data = load_data_dir(args.data)
-    with open(args.params) as fh:
-        doc = json.load(fh)
-    method, params = _params_from_doc(doc)
-    validate_combo(method, args.spatial)
+    doc, method, params, spatial = read_params(args.params, args.spatial)
     day = args.day or doc["target_day"]
     t = data.day_index(day)
-    fc = data.forecasts[t]
-    preds = _predict_day(method, params, data, t)
-    active = np.array([p is not None for p in preds])
-    if active.sum() < 1:
+    preds = predict_day(method, params, data, t)
+    act_idx = [s for s, p in enumerate(preds) if p is not None]
+    if not act_idx:
         raise ValueError(f"no station has a predictive distribution on {day}")
-    act_idx = np.flatnonzero(active)
-    ids = tuple(data.stations.ids[s] for s in act_idx)
-    act_set = StationSet(data.stations[s] for s in act_idx)
-    rng = seeded_rng(args.seed, f"sample/{method}/{args.spatial}/{day}")
-
-    if args.spatial == "none":
-        fields = _independent_fields(preds, active, args.n, rng)
-        sample = ForecastFieldSample(ids, fields, "independent", seed=args.seed)
-    elif args.spatial == "grf":
-        if "variogram" not in doc:
-            raise ValueError("params file has no variogram; rerun fit with --spatial grf")
-        vg = doc["variogram"]
-        corr = build_correlation_matrix((vg["theta"], vg["range_km"]), act_set)
-        mu = np.array([preds[s].mean for s in act_idx])
-        sd = np.array([preds[s].sd for s in act_idx])
-        sample = sample_fields(build_spatial_ngr(mu, sd, corr, ids), args.n, rng, seed=args.seed)
-    elif args.spatial == "ecc":
-        q = np.vstack([ecc_quantiles(preds[s], data.members) for s in act_idx])
-        tie_rng = seeded_rng(args.seed, f"ties/{day}")
-        perms = np.vstack([rank_permutation(_impute_row(fc[s])[0], tie_rng) for s in act_idx])
-        sample = ecc_reorder(q, perms, ids, seed=args.seed)
-    else:
-        if "member_variograms" not in doc:
-            raise ValueError("params file has no member variograms; rerun fit with --spatial spatial-bma")
-        fits = tuple(
-            VariogramFit(v["theta"], v["range_km"], (), float(v.get("objective", float("nan"))), v.get("degenerate", False))
-            for v in doc["member_variograms"]
-        )
-        sp = bma_mod.SpatialBmaParams(params, fits)
-        sample = bma_mod.sample_spatial_bma(sp, fc[act_idx], act_set, args.n, rng, seed=args.seed)
-
+    sample, _ = draw_fields(
+        args.spatial, [preds[s] for s in act_idx], data.forecasts[t][act_idx],
+        StationSet(data.stations[s] for s in act_idx), args.n,
+        seeded_rng(args.seed, f"sample/{method}/{args.spatial}/{day}"), seeded_rng(args.seed, f"ties/{day}"), spatial,
+    )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FIELDS_HEADER)
@@ -199,8 +131,13 @@ def load_fields_csv(path) -> ForecastFieldSample:
                 continue
             if len(row) != len(FIELDS_HEADER):
                 raise LoadError(f"{path} line {reader.line_num}: expected {len(FIELDS_HEADER)} fields, got {len(row)}")
-            idx = int(row[0])
-            per_sample.setdefault(idx, []).append((row[1], float(row[2])))
+            try:
+                idx, value = int(row[0]), float(row[2])
+            except ValueError:
+                raise LoadError(
+                    f"{path} line {reader.line_num}: bad sample number {row[0]!r} or value {row[2]!r}"
+                ) from None
+            per_sample.setdefault(idx, []).append((row[1], value))
             if provenance is None:
                 provenance = row[3]
             elif provenance != row[3]:
@@ -228,18 +165,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"missing observations on {day} for stations in the fields file")
 
     table = verify_mod.ScoreTable()
-    fields = sample.fields
-    n = fields.shape[0]
-    if n >= 100:
-        half = n // 2
-        es = verify_mod.energy_score(fields[:half], fields[half: 2 * half], y)
-    else:
-        es = verify_mod.energy_score_ensemble(fields, y)
+    es, ee = verify_mod.field_scores(sample.fields, y)
     table.add(day, "field", sample.provenance, "es", es)
-    ee = verify_mod.euclidean_error(verify_mod.spatial_median(fields), y)
     table.add(day, "field", sample.provenance, "ee", ee)
-    if n >= 2:
-        table.add(day, "field", sample.provenance, "ds", verify_mod.ds_from_sample(fields, y))
+    if sample.n_samples >= 2:
+        table.add(day, "field", sample.provenance, "ds", verify_mod.ds_from_sample(sample.fields, y))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "verify_scores.csv")
@@ -249,28 +179,16 @@ def cmd_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     kv = read_key_values(args.config) if args.config else {}
-    overrides = {}
-    if args.data is not None:
-        overrides["data"] = args.data
-    if args.out is not None:
-        overrides["out"] = args.out
+    flags = {"data": args.data, "out": args.out, "window": args.window, "samples": args.samples,
+             "fields": args.fields, "region": args.region, "seed": args.seed}
+    overrides = {key: str(value) for key, value in flags.items() if value is not None}
     if args.method is not None:
         spatial = args.spatial or "none"
         overrides["combos"] = args.method if spatial == "none" else f"{args.method}/{spatial}"
     elif args.spatial is not None:
         raise ValueError("--spatial needs --method")
-    if args.window is not None:
-        overrides["window"] = str(args.window)
-    if args.samples is not None:
-        overrides["samples"] = str(args.samples)
-    if args.fields is not None:
-        overrides["fields"] = str(args.fields)
     if args.threshold:
         overrides["thresholds"] = ",".join(str(x) for x in args.threshold)
-    if args.region is not None:
-        overrides["region"] = args.region
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
     cfg = parse_experiment_config(kv, overrides)
     result = run_experiment(cfg)
     for label, scores in result.summary["methods"].items():

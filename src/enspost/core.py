@@ -60,6 +60,25 @@ def seeded_rng(seed: int, stream: str = "") -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int.from_bytes(digest, "little")))
 
 
+def impute(forecasts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill each row's missing members with the mean of its available ones.
+
+    forecasts is any (..., M) array with NaN for a missing member. Returns the
+    filled array, the spread S^2 of the available members (squared
+    deviations summed over count - 1, zero below two members) and the count
+    of available members. A row without members stays NaN.
+    """
+    f = np.asarray(forecasts, dtype=float)
+    valid = ~np.isnan(f)
+    count = valid.sum(axis=-1)
+    total = np.where(valid, f, 0.0).sum(axis=-1)
+    mean = np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
+    filled = np.where(valid, f, mean[..., None])
+    dev = np.where(valid, f - mean[..., None], 0.0)
+    s2 = (dev ** 2).sum(axis=-1) / np.maximum(count - 1, 1)
+    return filled, np.where(count > 1, s2, 0.0), count
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -175,6 +194,11 @@ class EnsembleDataset:
             return self._day_index[day]
         except KeyError:
             raise KeyError(f"unknown day {day!r}") from None
+
+    def training_panels(self, window: TrainingWindow) -> tuple[np.ndarray, np.ndarray]:
+        """Forecasts (T, S, M) and observations (T, S) on the window's training days."""
+        day_idx = np.array([self.day_index(d) for d in window.training_days])
+        return self.forecasts[day_idx], self.observations[day_idx]
 
     def non_eliminated_days(self) -> tuple[str, ...]:
         return tuple(d for d, gone in zip(self.days, self.eliminated) if not gone)
@@ -448,7 +472,6 @@ class ForecastFieldSample:
     station_order: tuple[str, ...]
     fields: np.ndarray  # (n_samples, n_stations)
     provenance: str
-    seed: Optional[int] = None
 
     def __post_init__(self):
         order = tuple(self.station_order)

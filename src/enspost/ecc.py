@@ -9,7 +9,7 @@ reproduced exactly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +45,6 @@ def ecc_reorder(
     quantiles: np.ndarray,
     permutations: np.ndarray,
     station_order: Sequence[str],
-    *,
-    seed: Optional[int] = None,
 ) -> ForecastFieldSample:
     """Reorder per-station quantiles into M rank-coherent forecast fields.
 
@@ -65,4 +63,4 @@ def ecc_reorder(
         if sorted(perm[s].tolist()) != list(range(1, perm.shape[1] + 1)):
             raise ValueError(f"row {s} is not a permutation of 1..M")
     fields = q[np.arange(q.shape[0])[:, None], perm - 1].T  # (M, n_stations)
-    return ForecastFieldSample(order, fields, "ecc", seed)
+    return ForecastFieldSample(order, fields, "ecc")

@@ -28,7 +28,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,12 +40,14 @@ from .core import (
     ForecastFieldSample,
     GaussianPredictive,
     StationSet,
+    impute,
     quantile_table,
     seeded_rng,
 )
 from .ecc import ecc_levels, ecc_reorder, rank_permutation
 from .ingest import load_data_dir, rolling_windows
 from .spatial import (
+    VariogramFit,
     build_correlation_matrix,
     build_spatial_ngr,
     empirical_variogram,
@@ -56,9 +58,48 @@ from .spatial import (
 
 log = logging.getLogger(__name__)
 
-METHODS = ("ngr+", "ngrc", "bma")
+
+@dataclass(frozen=True)
+class Method:
+    """How one method is fitted, applied and stored; the values of METHODS."""
+
+    fit: Callable  # (data, window, previous day's params or None) -> params
+    predictor: Callable  # (params, stations) -> ((station id, member forecasts) -> predictive law)
+    to_json: Callable  # (params, target day, training days) -> dict
+    from_json: Callable  # dict -> params
+
+
+def _ngrc_predictor(params, stations: StationSet):
+    """predict_ngr_c at every station, interpolating the climatologies the fit left out."""
+    have = StationSet(st for st in stations if st.id in params.climatology)
+    extra = {st.id: ngr_mod.interpolate_ngr_c(params, st, have) for st in stations if st.id not in params.climatology}
+    if extra:
+        params = dataclasses.replace(params, climatology={**params.climatology, **extra})
+    return lambda sid, forecasts: ngr_mod.predict_ngr_c(params, sid, forecasts)
+
+
+METHODS = {
+    "ngr+": Method(
+        fit=lambda data, window, prev: ngr_mod.fit_ngr_plus(data, window, init=prev),
+        predictor=lambda params, stations: lambda sid, forecasts: ngr_mod.predict_ngr_plus(params, forecasts),
+        to_json=ngr_mod.params_to_json,
+        from_json=ngr_mod.params_from_json,
+    ),
+    "ngrc": Method(
+        fit=lambda data, window, prev: ngr_mod.fit_ngr_c(data, window, init=prev),
+        predictor=_ngrc_predictor,
+        to_json=ngr_mod.params_to_json,
+        from_json=ngr_mod.params_from_json,
+    ),
+    "bma": Method(
+        fit=lambda data, window, prev: bma_mod.fit_bma(data, window),
+        predictor=lambda params, stations: lambda sid, forecasts: bma_mod.predict_bma(params, forecasts),
+        to_json=bma_mod.params_to_json,
+        from_json=bma_mod.params_from_json,
+    ),
+}
+
 SPATIAL_MODES = ("none", "grf", "ecc", "spatial-bma")
-UNIVARIATE_SCORES = ("crps", "mae", "rmse", "pi_width", "pi_coverage")
 BAND_DEPTH_FIELDS = 20
 ALL_COMBOS = (
     ("ngr+", "none"),
@@ -76,7 +117,7 @@ _DAY_FAILURES = (ValueError, np.linalg.LinAlgError, RuntimeError)
 
 def validate_combo(method: str, spatial_mode: str) -> None:
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
     if spatial_mode not in SPATIAL_MODES:
         raise ValueError(f"unknown spatial mode {spatial_mode!r}; expected one of {SPATIAL_MODES}")
     if spatial_mode == "grf" and method not in ("ngr+", "ngrc"):
@@ -185,57 +226,22 @@ class ExperimentResult:
 # per-day helpers
 
 
-def _impute_row(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Fill missing members with the row mean; return (filled, sample var)."""
-    avail = np.isfinite(values)
-    filled = np.where(avail, values, values[avail].mean())
-    s2 = float(np.var(values[avail], ddof=1)) if avail.sum() > 1 else 0.0
-    return filled, s2
-
-
-def _predict_day(method: str, params, data: EnsembleDataset, day_idx: int) -> list:
-    """Univariate predictive per station (None where impossible)."""
-    fc = data.forecasts[day_idx]
-    preds: list = [None] * data.n_stations
-    if method == "ngrc":
-        have = [sid for sid in data.stations.ids if sid in params.climatology]
-        clim_set = StationSet(data.stations[data.stations.index(sid)] for sid in have)
-        extra = {}
-        for station in data.stations:
-            if station.id not in params.climatology:
-                extra[station.id] = ngr_mod.interpolate_ngr_c(params, station, clim_set)
-        if extra:
-            params = dataclasses.replace(params, climatology={**params.climatology, **extra})
-    for s, station in enumerate(data.stations):
-        if not np.isfinite(fc[s]).any():
-            continue
-        if method == "ngr+":
-            preds[s] = ngr_mod.predict_ngr_plus(params, fc[s])
-        elif method == "ngrc":
-            preds[s] = ngr_mod.predict_ngr_c(params, station.id, fc[s])
-        else:
-            preds[s] = bma_mod.predict_bma(params, fc[s])
-    return preds
+def predict_day(method: str, params, data: EnsembleDataset, day_idx: int) -> list:
+    """Univariate predictive law per station (None where no member is available)."""
+    predict = METHODS[method].predictor(params, data.stations)
+    return [
+        predict(sid, f) if np.isfinite(f).any() else None
+        for sid, f in zip(data.stations.ids, data.forecasts[day_idx])
+    ]
 
 
 def _moment_panels(method: str, params, data: EnsembleDataset, window) -> tuple[np.ndarray, np.ndarray]:
     """Marginal (mu, sigma) over the window days for error standardization.
 
-    Missing members enter through the filled ensemble mean, matching the
-    prediction-time rule on complete rows; stations without a usable row or
-    climatology get mu = NaN so they drop out of the error panel.
+    Missing members are imputed as at prediction time; stations without a
+    member or a climatology get mu = NaN so they drop out of the error panel.
     """
-    day_idx = np.array([data.day_index(d) for d in window.training_days])
-    F = data.forecasts[day_idx]  # (T, S, M)
-    avail = np.isfinite(F)
-    cnt = avail.sum(axis=2)
-    total = np.where(avail, F, 0.0).sum(axis=2)
-    rowmean = total / np.maximum(cnt, 1)
-    filled = np.where(avail, F, rowmean[:, :, None])
-    dev = np.where(avail, F - rowmean[:, :, None], 0.0)
-    s2 = (dev ** 2).sum(axis=2) / np.maximum(cnt - 1, 1)
-    s2 = np.where(cnt >= 2, s2, 0.0)
-
+    filled, s2, cnt = impute(data.training_panels(window)[0])  # (T, S, M), (T, S), (T, S)
     if method == "ngr+":
         mu = params.a + filled @ params.b
         var = params.c + params.d * s2
@@ -250,30 +256,59 @@ def _moment_panels(method: str, params, data: EnsembleDataset, window) -> tuple[
                 ybar[s], xi2[s], fbar[s] = clim.ybar, clim.xi2, clim.fbar
         mu = ybar[None, :] + (filled - fbar[None, :, :]) @ params.b
         var = params.c * xi2[None, :] + params.d * s2
-
-    mu = np.where(cnt > 0, mu, np.nan)
     sigma = np.sqrt(np.where(np.isfinite(var), np.maximum(var, 0.0), np.nan))
-    sigma = np.where(np.isfinite(sigma) & (cnt > 0), sigma, 1.0)
-    mu = np.where(np.isfinite(sigma) & np.isfinite(mu), mu, np.nan)
-    return mu, sigma
+    return mu, np.where(np.isfinite(sigma) & (cnt > 0), sigma, 1.0)
 
 
-def _fit_day_variogram(method: str, params, data: EnsembleDataset, window, stations: StationSet):
-    mu, sigma = _moment_panels(method, params, data, window)
-    panel = standardize_errors(data, window, mu, sigma)
-    bins = empirical_variogram(panel, stations)
-    return fit_variogram(bins)
+def fit_spatial(mode: str, method: str, params, data: EnsembleDataset, window):
+    """The correlation model that draw_fields samples `mode` with.
+
+    grf fits one variogram to the standardized errors of the method's
+    marginals, spatial-bma one per member (SpatialBmaParams); the other
+    modes need none.
+    """
+    if mode == "grf":
+        mu, sigma = _moment_panels(method, params, data, window)
+        panel = standardize_errors(data, window, mu, sigma)
+        return fit_variogram(empirical_variogram(panel, data.stations))
+    if mode == "spatial-bma":
+        return bma_mod.fit_spatial_bma(data, window, params)
+    return None
 
 
-def _independent_fields(preds, active: np.ndarray, n: int, rng) -> np.ndarray:
-    cols = [preds[s].sample(rng, n) for s in np.flatnonzero(active)]
-    return np.column_stack(cols)
+def draw_fields(
+    mode: str, preds: list, forecasts: np.ndarray, stations: StationSet, n: int, rng, tie_rng, spatial=None
+):
+    """Forecast fields of one spatial mode over the given stations.
+
+    preds holds each station's predictive law, forecasts its raw members
+    (S, M) and spatial what fit_spatial returned for the mode. ecc reorders
+    M quantiles by the members' ranks, ties broken from tie_rng; the other
+    modes draw n fields from rng. Returns the sample and a function giving
+    the fields' mean and covariance, or None where only the sample has them.
+    """
+    ids = stations.ids
+    if mode == "none":
+        fields = np.column_stack([p.sample(rng, n) for p in preds])
+        return ForecastFieldSample(ids, fields, "independent"), lambda: (
+            np.array([p.mean for p in preds]), np.diag([p.variance for p in preds])
+        )
+    if mode == "grf":
+        corr = build_correlation_matrix(spatial, stations)
+        mvp = build_spatial_ngr(np.array([p.mean for p in preds]), np.array([p.sd for p in preds]), corr, ids)
+        return sample_fields(mvp, n, rng), lambda: (mvp.mu, mvp.covariance())
+    if mode == "ecc":
+        q = quantile_table(preds, ecc_levels(forecasts.shape[1]))
+        perms = np.vstack([rank_permutation(row, tie_rng) for row in impute(forecasts)[0]])
+        return ecc_reorder(q, perms, ids), None
+    sample = bma_mod.sample_spatial_bma(spatial, forecasts, stations, n, rng)
+    return sample, lambda: verify.mixture_moments(spatial.bma.w, *_mixture_field_moments(spatial, forecasts, stations))
 
 
 def _mixture_field_moments(params, fc: np.ndarray, stations: StationSet):
     """Mean fields and per-member covariances of a spatial mixture."""
-    filled = np.column_stack([_impute_row(fc[s])[0] for s in range(len(stations))]).T  # (S, M)
-    means = params.bma.a[:, None] + params.bma.b[:, None] * filled.T  # (M, S)
+    filled = np.ascontiguousarray(impute(fc)[0].T)  # (M, S); mixture_moments' sums follow the memory layout
+    means = params.bma.a[:, None] + params.bma.b[:, None] * filled
     covs = np.stack(
         [params.bma.sigma2 * build_correlation_matrix(fit, stations) for fit in params.variograms]
     )
@@ -295,10 +330,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if not windows:
         raise ValueError("dataset leaves no target day behind the training window")
 
-    methods = []
-    for method, _ in cfg.combos:
-        if method not in methods:
-            methods.append(method)
+    methods = list(dict.fromkeys(m for m, _ in cfg.combos))
     labels = [combo_label(m, sp) for m, sp in cfg.combos]
     # univariate scores land under the bare method label even when only a
     # spatial combo was requested, so those labels must exist too
@@ -336,16 +368,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             fits = {}
             for method in methods:
                 try:
-                    if method == "ngr+":
-                        fits[method] = ngr_mod.fit_ngr_plus(data, window, init=prev.get(method))
-                    elif method == "ngrc":
-                        init = prev.get(method)
-                        fits[method] = ngr_mod.fit_ngr_c(
-                            data, window, init=(init.c_raw, init.d_raw) if init else (1.0, 1.0)
-                        )
-                    else:
-                        fits[method] = bma_mod.fit_bma(data, window)
-                    prev[method] = fits[method]
+                    fits[method] = prev[method] = METHODS[method].fit(data, window, prev.get(method))
                 except _DAY_FAILURES as exc:
                     log.warning("day %s: %s fit failed: %s", day, method, exc)
                     n_warnings += 1
@@ -353,7 +376,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         if lab == method or lab.startswith(method + "/"):
                             failed[lab].append(day)
 
-            preds = {m: _predict_day(m, fits[m], data, t) for m in fits}
+            preds = {m: predict_day(m, fits[m], data, t) for m in fits}
 
             # raw-ensemble baseline
             raw_rng = seeded_rng(cfg.seed, f"verify/rank/{day}")
@@ -414,19 +437,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 add(method, day, "all", "pi_width", float(np.mean(wids)))
 
             # multivariate scoring over sampled fields
-            def score_fields(label: str, sample, y_vec: np.ndarray, ids: tuple, ds_value: Optional[float]) -> None:
+            def score_fields(label: str, sample, y_vec: np.ndarray, ds_value: Optional[float]) -> None:
                 fields = sample.fields
                 half = fields.shape[0] // 2
-                if fields.shape[0] >= 100:
-                    es = verify.energy_score(fields[:half], fields[half: 2 * half], y_vec)
-                else:
-                    es = verify.energy_score_ensemble(fields, y_vec)
+                es, ee = verify.field_scores(fields, y_vec)
                 add(label, day, "field", "es", es)
-                add(label, day, "field", "ee", verify.euclidean_error(verify.spatial_median(fields), y_vec))
+                add(label, day, "field", "ee", ee)
                 if ds_value is None:
                     ds_value = verify.ds_from_sample(fields, y_vec)
                 add(label, day, "field", "ds", ds_value)
-                reg = [i for i, sid in enumerate(ids) if sid in region_ids]
+                reg = [i for i, sid in enumerate(sample.station_order) if sid in region_ids]
                 if reg:
                     minima = fields[:, reg].min(axis=1)
                     obs_min = float(y_vec[reg].min())
@@ -448,9 +468,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             raw_active = obs_ok & np.isfinite(fc).any(axis=1)
             if raw_active.sum() >= 2:
                 ids = tuple(sid for s, sid in enumerate(data.stations.ids) if raw_active[s])
-                rows = np.array([_impute_row(fc[s])[0] for s in np.flatnonzero(raw_active)])
-                sample = ForecastFieldSample(ids, rows.T, "raw")  # (M, n_active)
-                score_fields("raw", sample, obs[raw_active], ids, None)
+                sample = ForecastFieldSample(ids, impute(fc[raw_active])[0].T, "raw")  # (M, n_active)
+                score_fields("raw", sample, obs[raw_active], None)
 
             for method, spatial_mode in cfg.combos:
                 label = combo_label(method, spatial_mode)
@@ -461,53 +480,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 if active.sum() < 2:
                     continue
                 act_idx = np.flatnonzero(active)
-                ids = tuple(data.stations.ids[s] for s in act_idx)
                 act_set = StationSet(data.stations[s] for s in act_idx)
                 y_vec = obs[active]
                 rng = seeded_rng(cfg.seed, f"sample/{label}/{day}")
-                day_variogram = None
-                day_spatial = None
                 try:
-                    if spatial_mode == "none":
-                        fields = _independent_fields(pr, active, cfg.n_field_samples, rng)
-                        sample = ForecastFieldSample(ids, fields, "independent")
-                        mu_v = np.array([pr[s].mean for s in act_idx])
-                        var_v = np.array([pr[s].variance for s in act_idx])
-                        ds_val = verify.dawid_sebastiani(mu_v, np.diag(var_v), y_vec)
-                    elif spatial_mode == "grf":
-                        day_variogram = _fit_day_variogram(method, fits[method], data, window, data.stations)
-                        corr = build_correlation_matrix(day_variogram, act_set)
-                        mu_v = np.array([pr[s].mean for s in act_idx])
-                        sd_v = np.array([pr[s].sd for s in act_idx])
-                        mvp = build_spatial_ngr(mu_v, sd_v, corr, ids)
-                        sample = sample_fields(mvp, cfg.n_field_samples, rng)
-                        ds_val = verify.dawid_sebastiani(mvp.mu, mvp.covariance(), y_vec)
-                    elif spatial_mode == "ecc":
-                        q = quantile_table([pr[s] for s in act_idx], ecc_levels(M))
-                        tie_rng = seeded_rng(cfg.seed, f"ties/{day}")
-                        perms = np.vstack(
-                            [rank_permutation(_impute_row(fc[s])[0], tie_rng) for s in act_idx]
-                        )
-                        sample = ecc_reorder(q, perms, ids)
-                        ds_val = None
-                    else:  # spatial-bma
-                        day_spatial = bma_mod.fit_spatial_bma(data, window, fits[method])
-                        sample = bma_mod.sample_spatial_bma(
-                            day_spatial, fc[act_idx], act_set, cfg.n_field_samples, rng
-                        )
-                        means, covs = _mixture_field_moments(day_spatial, fc[act_idx], act_set)
-                        mu_v, cov = verify.mixture_moments(day_spatial.bma.w, means, covs)
-                        ds_val = verify.dawid_sebastiani(mu_v, cov, y_vec)
+                    spatial = fit_spatial(spatial_mode, method, fits[method], data, window)
+                    sample, moments = draw_fields(
+                        spatial_mode, [pr[s] for s in act_idx], fc[act_idx], act_set,
+                        cfg.n_field_samples, rng, seeded_rng(cfg.seed, f"ties/{day}"), spatial,
+                    )
+                    ds_val = None if moments is None else verify.dawid_sebastiani(*moments(), y_vec)
                 except _DAY_FAILURES as exc:
                     log.warning("day %s: %s sampling failed: %s", day, label, exc)
                     n_warnings += 1
                     failed[label].append(day)
                     continue
-                score_fields(label, sample, y_vec, ids, ds_val)
-                _write_params(
-                    out, label, day, window, fits[method], method,
-                    variogram=day_variogram, spatial=day_spatial,
-                )
+                score_fields(label, sample, y_vec, ds_val)
+                pdir = out / "params" / _safe(label)
+                pdir.mkdir(parents=True, exist_ok=True)
+                write_params(pdir / f"{day}.json", method, fits[method], window, spatial)
 
     n_warnings += len(caught)
     for w in caught:
@@ -567,21 +558,39 @@ def _safe(label: str) -> str:
     return label.replace("/", "_")
 
 
-def _write_params(out: Path, label: str, day: str, window, params, method: str, variogram=None, spatial=None) -> None:
-    doc = (
-        ngr_mod.params_to_json(params, day, window.training_days)
-        if method in ("ngr+", "ngrc")
-        else bma_mod.params_to_json(params, day, window.training_days)
-    )
-    if variogram is not None:
-        doc["variogram"] = _variogram_doc(variogram)
-    if spatial is not None:
+def write_params(path, method: str, params, window, spatial=None) -> None:
+    """Write a fit, with the correlation model fit_spatial gave, as a params JSON file."""
+    doc = METHODS[method].to_json(params, window.target_day, window.training_days)
+    if isinstance(spatial, VariogramFit):
+        doc["variogram"] = _variogram_doc(spatial)
+    elif spatial is not None:
         doc["member_variograms"] = [_variogram_doc(f) for f in spatial.variograms]
-    pdir = out / "params" / _safe(label)
-    pdir.mkdir(parents=True, exist_ok=True)
-    with open(pdir / f"{day}.json", "w") as fh:
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_params(path, spatial_mode: str = "none"):
+    """A params JSON file as (document, method, params, spatial).
+
+    spatial is the correlation model that spatial_mode samples with, as
+    write_params stored it, or None for the modes that need none.
+    """
+    with open(path) as fh:
+        doc = json.load(fh)
+    method = doc.get("method")
+    if method not in METHODS:
+        raise ValueError(f"parameter file has unknown method {method!r}")
+    validate_combo(method, spatial_mode)
+    params = METHODS[method].from_json(doc)
+    key = {"grf": "variogram", "spatial-bma": "member_variograms"}.get(spatial_mode)
+    if key is None:
+        return doc, method, params, None
+    if key not in doc:
+        raise ValueError(f"params file has no {key.replace('_', ' ')}; rerun fit with --spatial {spatial_mode}")
+    if spatial_mode == "grf":
+        return doc, method, params, _variogram_fit(doc[key])
+    return doc, method, params, bma_mod.SpatialBmaParams(params, [_variogram_fit(v) for v in doc[key]])
 
 
 def _variogram_doc(fit) -> dict:
@@ -591,3 +600,8 @@ def _variogram_doc(fit) -> dict:
         "objective": float(fit.objective),
         "degenerate": bool(fit.degenerate),
     }
+
+
+def _variogram_fit(doc: dict) -> VariogramFit:
+    return VariogramFit(doc["theta"], doc["range_km"], (), float(doc.get("objective", float("nan"))),
+                        doc.get("degenerate", False))

@@ -17,7 +17,6 @@ quasi-Newton descent with analytic gradients.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,40 +35,10 @@ from .core import (
     TrainingWindow,
     _readonly,
     gaussian_pdf,
+    impute,
 )
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
-
-# ---------------------------------------------------------------------------
-# member imputation
-
-
-def _impute_panel(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fill missing members with the row's available-member mean.
-
-    Returns the filled panel and the unbiased spread S^2 over available
-    members (zero where fewer than two are available). Rows with no members
-    at all are an error.
-    """
-    f = np.asarray(f, dtype=float)
-    valid = ~np.isnan(f)
-    count = valid.sum(axis=-1)
-    if np.any(count == 0):
-        raise ValueError("row with no available member forecasts")
-    total = np.where(valid, f, 0.0).sum(axis=-1)
-    mean = total / count
-    filled = np.where(valid, f, mean[..., None])
-    dev = np.where(valid, f - mean[..., None], 0.0)
-    s2 = (dev ** 2).sum(axis=-1) / np.maximum(count - 1, 1)
-    s2 = np.where(count > 1, s2, 0.0)
-    return filled, s2
-
-
-def impute_members(values) -> tuple[np.ndarray, float]:
-    """Single-row convenience wrapper around _impute_panel."""
-    filled, s2 = _impute_panel(np.asarray(values, dtype=float)[None, :])
-    return filled[0], float(s2[0])
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +57,6 @@ def crps_gaussian(dist: GaussianPredictive, y: float) -> float:
     sd = dist.sd
     z = (y - dist.mean) / sd
     return float(sd * _crps_std(z))
-
-
-def crps_gaussian_gradient(dist: GaussianPredictive, y: float) -> tuple[float, float]:
-    """(d/d mean, d/d sd) of the closed-form CRPS."""
-    if not np.isfinite(y):
-        raise ValueError(f"non-finite observation {y!r}")
-    z = (y - dist.mean) / dist.sd
-    d_mean = 1.0 - 2.0 * float(ndtr(z))
-    d_sd = 2.0 * gaussian_pdf(z) - _INV_SQRT_PI
-    return d_mean, d_sd
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +152,10 @@ def _training_rows(data: EnsembleDataset, window: TrainingWindow):
     """
     if data.members < 2:
         raise ValueError("spread-based regression needs at least 2 ensemble members")
-    day_idx = np.array([data.day_index(d) for d in window.training_days])
-    F = data.forecasts[day_idx]
-    Y = data.observations[day_idx]
-    member_count = (~np.isnan(F)).sum(axis=-1)
-    usable = ~np.isnan(Y) & (member_count >= 2)
-    t_rows, s_rows = np.nonzero(usable)
-    filled, s2 = _impute_panel(F[t_rows, s_rows])
-    return Y[t_rows, s_rows], filled, s2, s_rows, t_rows
+    F, Y = data.training_panels(window)
+    filled, s2, count = impute(F)
+    t_rows, s_rows = np.nonzero(~np.isnan(Y) & (count >= 2))
+    return Y[t_rows, s_rows], filled[t_rows, s_rows], s2[t_rows, s_rows], s_rows, t_rows
 
 
 def _crps_objective_terms(y, mu, var):
@@ -218,6 +173,23 @@ def _crps_objective_terms(y, mu, var):
     # derivative through sd = sqrt(var); zero where the floor is active
     d_sd_over_sd = np.where(clamped, 0.0, d_sd / sd)
     return float(crps.sum() / n), d_mu, d_sd_over_sd
+
+
+def _descend(objective, x0: np.ndarray, gtol: float, max_iter: int, what: str):
+    """BFGS from x0 that never ends worse than x0.
+
+    Returns (x, objective, gradient max-norm, converged); a fit whose
+    gradient stays above 1e-6 warns.
+    """
+    res = minimize(objective, x0, jac=True, method="BFGS", options={"gtol": gtol, "maxiter": max_iter})
+    x_best, f_best = res.x, float(res.fun)
+    f_init, _ = objective(x0)
+    if f_best > f_init:  # never leave the start for something worse
+        x_best, f_best = x0, f_init
+    grad_norm = float(np.max(np.abs(objective(x_best)[1])))
+    if grad_norm > 1e-6:
+        warnings.warn(f"{what} fit stopped with gradient norm {grad_norm:.2e}", stacklevel=3)
+    return x_best, f_best, grad_norm, grad_norm <= 1e-6
 
 
 def fit_ngr_plus(
@@ -257,15 +229,7 @@ def fit_ngr_plus(
         grad[2 + M] = d_raw * (d_sd_over_sd @ S2)
         return value, grad
 
-    res = minimize(objective, x0, jac=True, method="BFGS", options={"gtol": gtol, "maxiter": max_iter})
-    x_best, f_best = res.x, float(res.fun)
-    f_init, _ = objective(x0)
-    if f_best > f_init:  # never leave the start for something worse
-        x_best, f_best = x0, f_init
-    grad_norm = float(np.max(np.abs(objective(x_best)[1])))
-    converged = grad_norm <= 1e-6
-    if not converged:
-        warnings.warn(f"regression fit stopped with gradient norm {grad_norm:.2e}", stacklevel=2)
+    x_best, f_best, grad_norm, converged = _descend(objective, x0, gtol, max_iter, "regression")
     return NgrPlusParams(
         a=float(x_best[0]),
         beta=x_best[1:1 + M],
@@ -277,17 +241,13 @@ def fit_ngr_plus(
     )
 
 
-def predict_ngr_plus(params: NgrPlusParams, forecasts, s2: Optional[float] = None) -> GaussianPredictive:
-    """Predictive law from one station's member forecasts.
-
-    Missing members are imputed by the available-member mean; when `s2` is not
-    given the spread is computed over available members only.
-    """
-    filled, s2_avail = impute_members(forecasts)
+def predict_ngr_plus(params: NgrPlusParams, forecasts) -> GaussianPredictive:
+    """Predictive law from one station's member forecasts, missing members imputed."""
+    filled, s2, count = impute(np.ravel(forecasts))
     if filled.size != params.beta.size:
         raise ValueError(f"{filled.size} member values for {params.beta.size} weights")
-    if s2 is None:
-        s2 = s2_avail
+    if count == 0:
+        raise ValueError("no member forecasts available")
     mean = params.a + float(filled @ params.b)
     return GaussianPredictive(mean, params.c + params.d * float(s2))
 
@@ -302,7 +262,7 @@ def fit_ngr_c(
     ridge: Optional[float] = None,
     *,
     min_station_obs: int = 5,
-    init: tuple[float, float] = (1.0, 1.0),
+    init: Optional[NgrCParams] = None,
     gtol: float = 1e-8,
     max_iter: int = 500,
 ) -> NgrCParams:
@@ -314,7 +274,8 @@ def fit_ngr_c(
     constrained). Station-day pairs with a missing observation are dropped;
     stations with fewer than `min_station_obs` usable pairs are left out of
     the fit and carry no climatology. xi_s^2 is the mean squared step-one
-    residual at station s.
+    residual at station s. `init` (typically the previous day's fit) starts
+    the descent at its (c_raw, d_raw); the default start is (1, 1).
     """
     y, F, S2, s_rows, _ = _training_rows(data, window)
     M = data.members
@@ -370,16 +331,8 @@ def fit_ngr_c(
         ])
         return value, grad
 
-    x0 = np.asarray(init, dtype=float)
-    res = minimize(objective, x0, jac=True, method="BFGS", options={"gtol": gtol, "maxiter": max_iter})
-    x_best, f_best = res.x, float(res.fun)
-    f_init, _ = objective(x0)
-    if f_best > f_init:
-        x_best, f_best = x0, f_init
-    grad_norm = float(np.max(np.abs(objective(x_best)[1])))
-    converged = grad_norm <= 1e-6
-    if not converged:
-        warnings.warn(f"variance fit stopped with gradient norm {grad_norm:.2e}", stacklevel=2)
+    x0 = np.array([1.0, 1.0] if init is None else [init.c_raw, init.d_raw])
+    x_best, f_best, grad_norm, converged = _descend(objective, x0, gtol, max_iter, "variance")
 
     climatology = {
         station_ids[s]: StationClimatology(float(ybar[s]), fbar[s].copy(), float(xi2[s]))
@@ -397,31 +350,22 @@ def fit_ngr_c(
     )
 
 
-def predict_ngr_c(
-    params: NgrCParams,
-    station: Union[Station, str],
-    forecasts,
-    s2: Optional[float] = None,
-) -> GaussianPredictive:
+def predict_ngr_c(params: NgrCParams, station: Union[Station, str], forecasts) -> GaussianPredictive:
     """Predictive law at a station carrying a climatology.
 
-    Missing members contribute the mean anomaly of the available members.
+    Missing members are imputed as in the fit, before the climatology is
+    subtracted.
     """
     sid = station.id if isinstance(station, Station) else str(station)
     clim = params.climatology.get(sid)
     if clim is None:
         raise KeyError(f"station {sid!r} has no training climatology; interpolate one first")
-    f = np.asarray(forecasts, dtype=float).ravel()
-    if f.size != params.b.size:
-        raise ValueError(f"{f.size} member values for {params.b.size} coefficients")
-    avail = ~np.isnan(f)
-    if not avail.any():
+    filled, s2, count = impute(np.ravel(forecasts))
+    if filled.size != params.b.size:
+        raise ValueError(f"{filled.size} member values for {params.b.size} coefficients")
+    if count == 0:
         raise ValueError(f"no member forecasts available at station {sid!r}")
-    anom = f - clim.fbar
-    anom[~avail] = anom[avail].mean()
-    if s2 is None:
-        s2 = float(np.var(f[avail], ddof=1)) if avail.sum() > 1 else 0.0
-    mean = clim.ybar + float(anom @ params.b)
+    mean = clim.ybar + float((filled - clim.fbar) @ params.b)
     return GaussianPredictive(mean, params.c * clim.xi2 + params.d * float(s2))
 
 
@@ -487,10 +431,8 @@ def params_to_json(params, target_day: str, window_days=()) -> dict:
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 
-def params_from_json(doc: Union[dict, str]):
-    """Inverse of params_to_json; accepts a dict or a JSON string."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def params_from_json(doc: dict):
+    """Inverse of params_to_json."""
     method = doc.get("method")
     if method == "ngr+":
         return NgrPlusParams(

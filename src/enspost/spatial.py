@@ -86,15 +86,15 @@ def standardize_errors(
     mu and sigma are (len(window), n_stations) marginal predictive moments for
     the training days. Any sigma below the floor is an error.
     """
-    day_idx = np.array([data.day_index(d) for d in window.training_days])
+    _, obs = data.training_panels(window)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    shape = (day_idx.size, data.n_stations)
+    shape = obs.shape
     if mu.shape != shape or sigma.shape != shape:
         raise ValueError(f"mu/sigma must have shape {shape}")
     if np.any(sigma < math.sqrt(VARIANCE_FLOOR) * (1.0 - 1e-12)):
         raise ValueError("predictive sd below the variance floor")
-    values = (data.observations[day_idx] - mu) / sigma
+    values = (obs - mu) / sigma
     return StandardizedErrorPanel(window.training_days, data.stations.ids, values)
 
 
@@ -303,14 +303,11 @@ def sample_fields(
     pred: MultivariatePredictive,
     n_samples: int,
     rng: np.random.Generator,
-    *,
-    seed: Optional[int] = None,
-    provenance: str = "grf-spatial",
 ) -> ForecastFieldSample:
     """Correlated Gaussian fields mu + D L z with z standard normal.
 
     Identical (pred, n_samples, rng state) inputs reproduce the fields
-    bit-identically; `seed` is recorded for provenance only.
+    bit-identically.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
@@ -319,4 +316,4 @@ def sample_fields(
     fields = L @ z
     np.multiply(pred.scale[:, None], fields, out=fields)
     np.add(pred.mu[:, None], fields, out=fields)
-    return ForecastFieldSample(pred.station_order, fields.T, provenance, seed)
+    return ForecastFieldSample(pred.station_order, fields.T, "grf-spatial")

@@ -180,6 +180,22 @@ def euclidean_error(median, y) -> float:
     return float(np.linalg.norm(median - y))
 
 
+def field_scores(fields, y) -> tuple[float, float]:
+    """(ES, EE) of sampled fields against the observed vector.
+
+    ES pairs the first half of the fields with the second when there are at
+    least 100 of them and takes all pairs otherwise; EE is the distance from
+    the fields' spatial median.
+    """
+    fields = np.asarray(fields, dtype=float)
+    n = fields.shape[0]
+    if n >= 100:
+        es = energy_score(fields[: n // 2], fields[n // 2: 2 * (n // 2)], y)
+    else:
+        es = energy_score_ensemble(fields, y)
+    return es, euclidean_error(spatial_median(fields), y)
+
+
 def dawid_sebastiani(mu, cov, y, *, diag_jitter: float = 0.0) -> float:
     """log det(Sigma) + (y - mu)' Sigma^{-1} (y - mu); smaller is better."""
     mu = np.asarray(mu, dtype=float).ravel()

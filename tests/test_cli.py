@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enspost import ingest
+from enspost import cli, ingest
 from enspost.bma import params_from_json, predict_bma
 from enspost.cli import load_fields_csv, main
 from enspost.ingest import LoadError, load_dataset
@@ -251,6 +252,32 @@ class TestErrorPaths:
                    "--day", "2024-01-18", "--out", str(tmp_path / "scores")])
         assert rc == 1
         assert f"error: {bad} line 4: expected 4 fields, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, bad", [("x1,S1,15.0,independent", "'x1'"), ("1,S1,warm,independent", "'warm'")])
+    def test_fields_csv_bad_number_names_its_line(self, workspace, tmp_path, capsys, row, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"sample,station_id,value_c,provenance\n1,S1,15.0,independent\n{row}\n")
+        rc = main(["verify", "--fields", str(path), "--data", str(workspace / "data"),
+                   "--day", "2024-01-18", "--out", str(tmp_path / "scores")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {path} line 3: bad sample number" in err and bad in err
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("enspost")):
+            private += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+            modules |= {a.asname or a.name for a in node.names if node.module is None}
+    private += [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert modules and private == []
 
 
 def test_console_entry_point_matches_main():

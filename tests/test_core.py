@@ -16,6 +16,7 @@ from enspost.core import (
     gaussian_cdf,
     gaussian_pdf,
     gaussian_quantile,
+    impute,
     mixture_quantiles,
     quantile_table,
     seeded_rng,
@@ -285,3 +286,34 @@ def test_forecast_field_sample_accessors():
 def test_training_window_rejects_target_in_training():
     with pytest.raises(ValueError):
         TrainingWindow("d3", ("d1", "d2", "d3"))
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60)
+def test_impute_matches_numpy_mean_and_variance_bit_for_bit(n_rows, m, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(15.0, 5.0, (n_rows, m))
+    filled, s2, count = impute(f)
+    # complete rows: unchanged, and the spread is np.var(ddof=1), which centres on np.mean
+    assert np.array_equal(filled, f)
+    assert np.array_equal(s2, np.var(f, axis=-1, ddof=1))
+    assert np.array_equal(count, np.full(n_rows, m))
+    # a gap takes the mean of the members present, as np.nanmean computes it
+    gapped = f.copy()
+    gapped[:, rng.random(m) < 0.4] = np.nan
+    gapped[:, :2] = f[:, :2]
+    miss = np.isnan(gapped)
+    filled, s2, count = impute(gapped)
+    mean = np.broadcast_to(np.nanmean(gapped, axis=-1)[:, None], f.shape)
+    assert np.array_equal(filled[miss], mean[miss])
+    assert np.array_equal(s2, np.nanvar(gapped, axis=-1, ddof=1))
+
+
+def test_impute_leaves_rows_without_members_empty():
+    filled, s2, count = impute(np.array([[np.nan, np.nan], [1.0, np.nan]]))
+    assert np.isnan(filled[0]).all() and s2[0] == 0.0 and count[0] == 0
+    assert filled[1].tolist() == [1.0, 1.0] and s2[1] == 0.0 and count[1] == 1

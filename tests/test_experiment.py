@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from enspost.bma import fit_bma, predict_bma
-from enspost.core import EnsembleDataset, seeded_rng
+from enspost.core import EnsembleDataset, TrainingWindow, seeded_rng
 from enspost.ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from enspost.experiment import (
     ExperimentConfig,
+    _moment_panels,
     combo_label,
     parse_combos,
     parse_experiment_config,
@@ -16,6 +17,7 @@ from enspost.experiment import (
     validate_combo,
 )
 from enspost.ingest import rolling_windows, save_dataset
+from enspost.ngr import _training_rows, fit_ngr_c, predict_ngr_c
 from enspost.synth import default_spec, generate
 from enspost.verify import ScoreTable, ds_from_sample, mae_rmse
 
@@ -261,3 +263,32 @@ class TestRunExperiment:
     def test_window_longer_than_dataset_rejected(self, data_dir, tmp_path):
         with pytest.raises(ValueError, match="target day"):
             run_experiment(tiny_config(data_dir, tmp_path / "w", window_length=30))
+
+
+def test_ngrc_fit_standardization_and_prediction_share_one_imputation():
+    """A row with 3 of 8 biased members missing gets one mean and one variance.
+
+    The ngrc fit, the grf error standardization and the prediction all see
+    the row through the same imputation, so the errors that fit the
+    correlation model are the errors of the predictive law.
+    """
+    data = generate(default_spec(4, n_stations=20, n_days=26, n_members=8, member_bias_sd=1.0))
+    window = TrainingWindow(data.days[25], data.days[:25])
+    k, s = 24, 3  # last training day, one station
+    fc = np.array(data.forecasts)
+    fc[k, s, [1, 4, 6]] = np.nan
+    data = EnsembleDataset(data.stations, data.days, fc, data.observations)
+    params = fit_ngr_c(data, window)
+    clim = params.climatology[data.stations.ids[s]]
+
+    _, F, S2, s_rows, t_rows = _training_rows(data, window)
+    (row,) = np.flatnonzero((s_rows == s) & (t_rows == k))
+    fit_mean = clim.ybar + (F[row] - clim.fbar) @ params.b
+    fit_var = params.c * clim.xi2 + params.d * S2[row]
+
+    mu, sigma = _moment_panels("ngrc", params, data, window)
+    pred = predict_ngr_c(params, data.stations.ids[s], fc[k, s])
+    assert mu[k, s] == pytest.approx(fit_mean, abs=1e-12)
+    assert pred.mean == pytest.approx(fit_mean, abs=1e-12)
+    assert sigma[k, s] ** 2 == pytest.approx(fit_var, abs=1e-12)
+    assert pred.variance == pytest.approx(fit_var, abs=1e-12)
