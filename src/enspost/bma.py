@@ -200,23 +200,22 @@ def fit_bma(
 
 
 def predict_bma(params: BmaParams, forecasts) -> MixturePredictive:
-    """Mixture predictive from one station's member forecasts.
+    """Mixture predictive from one station's (M,) member forecasts, or a batch from (n, M) rows.
 
-    Components of missing members are dropped and the remaining weights are
-    renormalized.
+    A missing member's component gets weight zero, at its imputed forecast,
+    and the remaining weights are renormalized: the law without that member.
     """
-    f = np.asarray(forecasts, dtype=float).ravel()
-    if f.size != params.members:
-        raise ValueError(f"{f.size} member values for {params.members} members")
-    avail = ~np.isnan(f)
-    if not avail.any():
+    f = np.asarray(forecasts, dtype=float)
+    filled, _, count = impute(f)
+    if f.shape[-1] != params.members:
+        raise ValueError(f"{f.shape[-1]} member values for {params.members} members")
+    if np.any(count == 0):
         raise ValueError("no member forecasts available")
-    w = params.w[avail]
-    total = w.sum()
-    if total <= 0:
+    w = np.where(np.isnan(f), 0.0, params.w)
+    total = w.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("available members carry zero total weight")
-    means = params.a[avail] + params.b[avail] * f[avail]
-    return MixturePredictive(w / total, means, np.full(means.size, params.sigma2))
+    return MixturePredictive(w / total, params.a + params.b * filled, params.sigma2)
 
 
 def fit_spatial_bma(

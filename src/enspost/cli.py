@@ -23,7 +23,7 @@ from .experiment import (
     draw_fields,
     fit_spatial,
     parse_experiment_config,
-    predict_day,
+    predict_rows,
     read_params,
     run_experiment,
     validate_combo,
@@ -82,13 +82,12 @@ def cmd_predict(args) -> int:
     data = load_data_dir(args.data)
     doc, method, params, _ = read_params(args.params)
     day = args.day or doc["target_day"]
-    preds = predict_day(method, params, data, data.day_index(day))
+    rows, law = predict_rows(method, params, data.stations, data.forecasts[data.day_index(day)])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("station_id", "mean", "sd"))
-        for sid, dist in zip(data.stations.ids, preds):
-            if dist is not None:
-                writer.writerow((sid, _fmt(dist.mean), _fmt(dist.sd)))
+        for sid, mean, sd in zip(np.array(data.stations.ids)[rows], law.mean.tolist(), law.sd.tolist()):
+            writer.writerow((sid, _fmt(mean), _fmt(sd)))
     print(f"wrote per-station predictive moments for {day} -> {args.out}")
     return 0
 
@@ -98,13 +97,12 @@ def cmd_sample(args) -> int:
     doc, method, params, spatial = read_params(args.params, args.spatial)
     day = args.day or doc["target_day"]
     t = data.day_index(day)
-    preds = predict_day(method, params, data, t)
-    act_idx = [s for s, p in enumerate(preds) if p is not None]
-    if not act_idx:
+    rows, law = predict_rows(method, params, data.stations, data.forecasts[t])
+    if not rows.any():
         raise ValueError(f"no station has a predictive distribution on {day}")
     sample, _ = draw_fields(
-        args.spatial, [preds[s] for s in act_idx], data.forecasts[t][act_idx],
-        StationSet(data.stations[s] for s in act_idx), args.n,
+        args.spatial, law, data.forecasts[t][rows],
+        StationSet(data.stations[s] for s in np.flatnonzero(rows)), args.n,
         seeded_rng(args.seed, f"sample/{method}/{args.spatial}/{day}"), seeded_rng(args.seed, f"ties/{day}"), spatial,
     )
     with open(args.out, "w", newline="") as fh:

@@ -224,43 +224,79 @@ class TrainingWindow:
         return len(self.training_days)
 
 
+def row_dot(a, b):
+    """Dot products of the last axes of a and b, row by row; a float for one row.
+
+    Each row gives the bits of its own 1-D dot product however many rows
+    there are, which a 2-D or 3-D `@` does not.
+    """
+    out = np.matmul(np.asarray(a, dtype=float)[..., None, :], np.asarray(b, dtype=float)[..., :, None])[..., 0, 0]
+    return _unbox(out)
+
+
+def _unbox(x):
+    """A 0-d result as a float; arrays as they are."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _by_row(a, ndim: int):
+    """A batch's (n,) parameter with ndim trailing axes, to broadcast against levels or draws."""
+    return a if np.ndim(a) == 0 else a.reshape(a.shape + (1,) * ndim)
+
+
 @dataclass(frozen=True)
 class GaussianPredictive:
-    """Gaussian predictive law; variance is floored at construction."""
+    """Gaussian predictive law, or a batch of them; variance is floored at construction.
 
-    mean: float
-    variance: float
+    Scalar mean and variance give one law whose moments are floats. Arrays of
+    shape (n,) give n laws, one per row, and every method answers row by row,
+    with each row's bits equal to its own scalar law's: cdf(x) takes one x per
+    row, quantile(p) has shape (n,) + p's shape, and sample(rng, k) is (k, n),
+    the transpose of the row-major draws.
+    """
+
+    mean: float | np.ndarray
+    variance: float | np.ndarray
     floor: float = VARIANCE_FLOOR
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.variance)):
+        mean, var = np.broadcast_arrays(np.asarray(self.mean, dtype=float), np.asarray(self.variance, dtype=float))
+        if mean.ndim > 1:
+            raise ValueError(f"batch parameters must be (n,) arrays, got shape {mean.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
             raise ValueError("non-finite Gaussian predictive parameters")
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "variance", float(max(self.variance, self.floor)))
+        object.__setattr__(self, "mean", _unbox(_readonly(mean.copy())))
+        object.__setattr__(self, "variance", _unbox(_readonly(np.array(np.maximum(var, self.floor)))))
 
     @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
+    def sd(self):
+        return _unbox(np.sqrt(self.variance))
 
     def cdf(self, x):
         return gaussian_cdf((np.asarray(x, dtype=float) - self.mean) / self.sd)
 
     def quantile(self, p):
-        return self.mean + self.sd * gaussian_quantile(p)
+        z = gaussian_quantile(p)
+        return _by_row(self.mean, np.ndim(z)) + _by_row(self.sd, np.ndim(z)) * z
 
-    def median(self) -> float:
+    def median(self):
         return self.mean
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.mean + self.sd * rng.standard_normal(n)
+        z = rng.standard_normal(np.shape(self.mean) + (n,))  # row after row, n draws each
+        return (_by_row(self.mean, 1) + _by_row(self.sd, 1) * z).T
 
 
 @dataclass(frozen=True)
 class MixturePredictive:
-    """Gaussian mixture predictive law.
+    """Gaussian mixture predictive law, or a batch of them.
 
     Kernel-dressing fits share one variance across components; the type keeps
     per-component variances so moment and quantile formulas stay general.
+    Component arrays of shape (K,) give one law with float moments; (n, K)
+    arrays give n laws that answer row by row as GaussianPredictive batches
+    do, each row with its own scalar law's bits. A variance given as one
+    number is shared by every component.
     """
 
     weights: np.ndarray
@@ -269,71 +305,64 @@ class MixturePredictive:
     floor: float = VARIANCE_FLOOR
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float).ravel()
-        m = np.array(self.means, dtype=float).ravel()
-        v = np.array(self.variances, dtype=float).ravel()
-        if v.size == 1 and m.size > 1:
-            v = np.full(m.size, float(v[0]))
-        if not (w.size == m.size == v.size) or w.size == 0:
-            raise ValueError("mixture component arrays must share a positive length")
+        w = np.array(self.weights, dtype=float)
+        m = np.array(self.means, dtype=float)
+        v = np.array(self.variances, dtype=float)
+        if v.size == 1:
+            v = np.full(m.shape, float(v.ravel()[0]))
+        if not (w.shape == m.shape == v.shape) or w.ndim not in (1, 2) or w.shape[-1] == 0:
+            raise ValueError("mixture component arrays must share a (K,) or (n, K) shape with K > 0")
         if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(v).all()):
             raise ValueError("non-finite mixture parameters")
         if np.any(w < -1e-12):
             raise ValueError("negative mixture weight")
         w = np.clip(w, 0.0, None)
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError(f"mixture weights sum to {w.sum()!r}, not 1")
+        total = w.sum(axis=-1)
+        if np.any(np.abs(total - 1.0) > 1e-10):
+            raise ValueError(f"mixture weights sum to {total!r}, not 1")
         v = np.maximum(v, self.floor)
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "means", _readonly(m))
         object.__setattr__(self, "variances", _readonly(v))
 
     @property
-    def n_components(self) -> int:
-        return self.weights.size
+    def mean(self):
+        return row_dot(self.weights, self.means)
 
     @property
-    def components(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple(zip(self.weights.tolist(), self.means.tolist(), self.variances.tolist()))
+    def variance(self):
+        mean = self.mean
+        # Python's float power squares a one-law mean, and it can round apart
+        # from numpy's square, so a batch squares each row's mean that way too
+        square = mean ** 2 if np.ndim(mean) == 0 else np.array([m ** 2 for m in mean.tolist()])
+        return row_dot(self.weights, self.variances + self.means ** 2) - square
 
     @property
-    def mean(self) -> float:
-        return float(self.weights @ self.means)
-
-    @property
-    def variance(self) -> float:
-        second = self.weights @ (self.variances + self.means ** 2)
-        return float(second - self.mean ** 2)
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
+    def sd(self):
+        return _unbox(np.sqrt(self.variance))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         z = (x[..., None] - self.means) / np.sqrt(self.variances)
-        out = ndtr(z) @ self.weights
-        return float(out) if out.ndim == 0 else out
+        return row_dot(ndtr(z), self.weights)
 
     def quantile(self, p, tol: float = 1e-10):
-        """Quantile at a scalar or array of levels, by bisection (see mixture_quantiles)."""
+        """Quantiles at a scalar or array of levels, by bisection (see mixture_quantiles)."""
         p_arr = np.asarray(p, dtype=float)
-        shape = (p_arr.size, self.n_components)
-        out = mixture_quantiles(
-            np.broadcast_to(self.weights, shape),
-            np.broadcast_to(self.means, shape),
-            np.sqrt(self.variances),
-            p_arr.ravel(),
-            tol,
-        )
-        return float(out[0]) if p_arr.ndim == 0 else out.reshape(p_arr.shape)
+        w, m, v = (np.repeat(np.atleast_2d(a), p_arr.size, axis=0) for a in (self.weights, self.means, self.variances))
+        out = mixture_quantiles(w, m, np.sqrt(v), np.tile(p_arr.ravel(), np.atleast_2d(self.weights).shape[0]), tol)
+        return _unbox(out.reshape(self.weights.shape[:-1] + p_arr.shape))
 
-    def median(self) -> float:
+    def median(self):
         return self.quantile(0.5)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        comp = rng.choice(self.n_components, size=n, p=self.weights / self.weights.sum())
-        return self.means[comp] + np.sqrt(self.variances[comp]) * rng.standard_normal(n)
+        w, m, v = (np.atleast_2d(a) for a in (self.weights, self.means, self.variances))
+        out = np.empty((w.shape[0], n))
+        for i in range(w.shape[0]):  # row after row, as each row's own law draws
+            comp = rng.choice(w.shape[1], size=n, p=w[i] / w[i].sum())
+            out[i] = m[i, comp] + np.sqrt(v[i, comp]) * rng.standard_normal(n)
+        return out[0] if self.weights.ndim == 1 else out.T
 
 
 def mixture_quantiles(weights, means, sd, p, tol: float = 1e-10) -> np.ndarray:
@@ -385,30 +414,6 @@ def mixture_quantiles(weights, means, sd, p, tol: float = 1e-10) -> np.ndarray:
         hi[rows[~below]] = mid[~below]
         rows = rows[hi[rows] - lo[rows] > tol]
     return 0.5 * (lo + hi)
-
-
-def quantile_table(dists: Sequence, levels) -> np.ndarray:
-    """Quantiles of each predictive law at every level, as a (len(dists), len(levels)) table.
-
-    Mixtures with the same component count share one mixture_quantiles call,
-    so a row equals the mixture's own quantile(levels); any other law answers
-    through its quantile(levels).
-    """
-    levels = np.asarray(levels, dtype=float).ravel()
-    out = np.empty((len(dists), levels.size))
-    sizes = np.array([d.n_components if isinstance(d, MixturePredictive) else 0 for d in dists], dtype=int)
-    for i in np.flatnonzero(sizes == 0):
-        out[i] = dists[i].quantile(levels)
-    for k in np.unique(sizes[sizes > 0]):
-        group = [dists[i] for i in np.flatnonzero(sizes == k)]
-
-        def stack(attr):
-            return np.repeat(np.stack([getattr(d, attr) for d in group]), levels.size, axis=0)
-
-        q = mixture_quantiles(stack("weights"), stack("means"), np.sqrt(stack("variances")),
-                              np.tile(levels, len(group)))
-        out[sizes == k] = q.reshape(len(group), levels.size)
-    return out
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,11 @@ import numpy as np
 from .core import ForecastFieldSample
 
 
-def ecc_levels(m: int) -> np.ndarray:
-    """The M equidistant levels k/(M+1), k = 1..M, ascending."""
+def ecc_quantiles(dist, m: int) -> np.ndarray:
+    """M equidistant quantiles at levels k/(M+1), k = 1..M, ascending; a row per law of a batch."""
     if m < 1:
         raise ValueError("member count must be positive")
-    return np.arange(1, m + 1) / (m + 1)
-
-
-def ecc_quantiles(dist, m: int) -> np.ndarray:
-    """M equidistant quantiles at levels k/(M+1), k = 1..M, ascending."""
-    return np.asarray(dist.quantile(ecc_levels(m)), dtype=float)
+    return np.asarray(dist.quantile(np.arange(1, m + 1) / (m + 1)), dtype=float)
 
 
 def rank_permutation(raw_members, rng: np.random.Generator) -> np.ndarray:

@@ -41,10 +41,9 @@ from .core import (
     GaussianPredictive,
     StationSet,
     impute,
-    quantile_table,
     seeded_rng,
 )
-from .ecc import ecc_levels, ecc_reorder, rank_permutation
+from .ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from .ingest import load_data_dir, rolling_windows
 from .spatial import (
     VariogramFit,
@@ -64,7 +63,7 @@ class Method:
     """How one method is fitted, applied and stored; the values of METHODS."""
 
     fit: Callable  # (data, window, previous day's params or None) -> params
-    predictor: Callable  # (params, stations) -> ((station id, member forecasts) -> predictive law)
+    predictor: Callable  # (params, stations) -> ((station ids, member forecasts (n, M)) -> predictive law)
     to_json: Callable  # (params, target day, training days) -> dict
     from_json: Callable  # dict -> params
 
@@ -75,13 +74,13 @@ def _ngrc_predictor(params, stations: StationSet):
     extra = {st.id: ngr_mod.interpolate_ngr_c(params, st, have) for st in stations if st.id not in params.climatology}
     if extra:
         params = dataclasses.replace(params, climatology={**params.climatology, **extra})
-    return lambda sid, forecasts: ngr_mod.predict_ngr_c(params, sid, forecasts)
+    return lambda sids, forecasts: ngr_mod.predict_ngr_c(params, sids, forecasts)
 
 
 METHODS = {
     "ngr+": Method(
         fit=lambda data, window, prev: ngr_mod.fit_ngr_plus(data, window, init=prev),
-        predictor=lambda params, stations: lambda sid, forecasts: ngr_mod.predict_ngr_plus(params, forecasts),
+        predictor=lambda params, stations: lambda sids, forecasts: ngr_mod.predict_ngr_plus(params, forecasts),
         to_json=ngr_mod.params_to_json,
         from_json=ngr_mod.params_from_json,
     ),
@@ -93,7 +92,7 @@ METHODS = {
     ),
     "bma": Method(
         fit=lambda data, window, prev: bma_mod.fit_bma(data, window),
-        predictor=lambda params, stations: lambda sid, forecasts: bma_mod.predict_bma(params, forecasts),
+        predictor=lambda params, stations: lambda sids, forecasts: bma_mod.predict_bma(params, forecasts),
         to_json=bma_mod.params_to_json,
         from_json=bma_mod.params_from_json,
     ),
@@ -226,38 +225,31 @@ class ExperimentResult:
 # per-day helpers
 
 
-def predict_day(method: str, params, data: EnsembleDataset, day_idx: int) -> list:
-    """Univariate predictive law per station (None where no member is available)."""
-    predict = METHODS[method].predictor(params, data.stations)
-    return [
-        predict(sid, f) if np.isfinite(f).any() else None
-        for sid, f in zip(data.stations.ids, data.forecasts[day_idx])
-    ]
+def predict_rows(method: str, params, stations: StationSet, forecasts: np.ndarray, keep=None):
+    """Rows of forecasts (..., S, M) with a member, and the method's batch law on them.
+
+    Returns the rows as a (..., S) mask, narrowed further by the mask `keep`,
+    and one law over them in row order.
+    """
+    rows = np.isfinite(forecasts).any(axis=-1)
+    if keep is not None:
+        rows &= keep
+    ids = np.broadcast_to(np.array(stations.ids), rows.shape)[rows]
+    return rows, METHODS[method].predictor(params, stations)(ids, forecasts[rows])
 
 
 def _moment_panels(method: str, params, data: EnsembleDataset, window) -> tuple[np.ndarray, np.ndarray]:
     """Marginal (mu, sigma) over the window days for error standardization.
 
-    Missing members are imputed as at prediction time; stations without a
-    member or a climatology get mu = NaN so they drop out of the error panel.
+    Each (day, station) row with a member gets the method's predictive law,
+    so the correlation model is fitted to that law's errors; other rows get
+    mu = NaN and drop out of the panel.
     """
-    filled, s2, cnt = impute(data.training_panels(window)[0])  # (T, S, M), (T, S), (T, S)
-    if method == "ngr+":
-        mu = params.a + filled @ params.b
-        var = params.c + params.d * s2
-    else:
-        S = data.n_stations
-        ybar = np.full(S, np.nan)
-        xi2 = np.full(S, np.nan)
-        fbar = np.full((S, params.b.size), np.nan)
-        for s, sid in enumerate(data.stations.ids):
-            clim = params.climatology.get(sid)
-            if clim is not None:
-                ybar[s], xi2[s], fbar[s] = clim.ybar, clim.xi2, clim.fbar
-        mu = ybar[None, :] + (filled - fbar[None, :, :]) @ params.b
-        var = params.c * xi2[None, :] + params.d * s2
-    sigma = np.sqrt(np.where(np.isfinite(var), np.maximum(var, 0.0), np.nan))
-    return mu, np.where(np.isfinite(sigma) & (cnt > 0), sigma, 1.0)
+    rows, law = predict_rows(method, params, data.stations, data.training_panels(window)[0])
+    mu = np.full(rows.shape, np.nan)
+    sigma = np.ones(rows.shape)
+    mu[rows], sigma[rows] = law.mean, law.sd
+    return mu, sigma
 
 
 def fit_spatial(mode: str, method: str, params, data: EnsembleDataset, window):
@@ -277,11 +269,11 @@ def fit_spatial(mode: str, method: str, params, data: EnsembleDataset, window):
 
 
 def draw_fields(
-    mode: str, preds: list, forecasts: np.ndarray, stations: StationSet, n: int, rng, tie_rng, spatial=None
+    mode: str, law, forecasts: np.ndarray, stations: StationSet, n: int, rng, tie_rng, spatial=None
 ):
     """Forecast fields of one spatial mode over the given stations.
 
-    preds holds each station's predictive law, forecasts its raw members
+    law is the stations' batch predictive law, forecasts their raw members
     (S, M) and spatial what fit_spatial returned for the mode. ecc reorders
     M quantiles by the members' ranks, ties broken from tie_rng; the other
     modes draw n fields from rng. Returns the sample and a function giving
@@ -289,30 +281,22 @@ def draw_fields(
     """
     ids = stations.ids
     if mode == "none":
-        fields = np.column_stack([p.sample(rng, n) for p in preds])
-        return ForecastFieldSample(ids, fields, "independent"), lambda: (
-            np.array([p.mean for p in preds]), np.diag([p.variance for p in preds])
-        )
+        fields = np.ascontiguousarray(law.sample(rng, n))  # the layout the field scores' sums follow
+        return ForecastFieldSample(ids, fields, "independent"), lambda: (law.mean, np.diag(law.variance))
     if mode == "grf":
         corr = build_correlation_matrix(spatial, stations)
-        mvp = build_spatial_ngr(np.array([p.mean for p in preds]), np.array([p.sd for p in preds]), corr, ids)
+        mvp = build_spatial_ngr(law.mean, law.sd, corr, ids)
         return sample_fields(mvp, n, rng), lambda: (mvp.mu, mvp.covariance())
     if mode == "ecc":
-        q = quantile_table(preds, ecc_levels(forecasts.shape[1]))
+        q = ecc_quantiles(law, forecasts.shape[1])
         perms = np.vstack([rank_permutation(row, tie_rng) for row in impute(forecasts)[0]])
         return ecc_reorder(q, perms, ids), None
     sample = bma_mod.sample_spatial_bma(spatial, forecasts, stations, n, rng)
-    return sample, lambda: verify.mixture_moments(spatial.bma.w, *_mixture_field_moments(spatial, forecasts, stations))
-
-
-def _mixture_field_moments(params, fc: np.ndarray, stations: StationSet):
-    """Mean fields and per-member covariances of a spatial mixture."""
-    filled = np.ascontiguousarray(impute(fc)[0].T)  # (M, S); mixture_moments' sums follow the memory layout
-    means = params.bma.a[:, None] + params.bma.b[:, None] * filled
-    covs = np.stack(
-        [params.bma.sigma2 * build_correlation_matrix(fit, stations) for fit in params.variograms]
+    return sample, lambda: verify.mixture_moments(
+        spatial.bma.w,
+        np.ascontiguousarray(law.means.T),  # member mean fields (M, S); mixture_moments' sums follow the layout
+        np.stack([spatial.bma.sigma2 * build_correlation_matrix(fit, stations) for fit in spatial.variograms]),
     )
-    return means, covs
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +360,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         if lab == method or lab.startswith(method + "/"):
                             failed[lab].append(day)
 
-            preds = {m: predict_day(m, fits[m], data, t) for m in fits}
+            # each method's law on the stations with a member and an observation
+            preds = {m: predict_rows(m, fits[m], data.stations, fc, obs_ok) for m in fits}
 
             # raw-ensemble baseline
             raw_rng = seeded_rng(cfg.seed, f"verify/rank/{day}")
@@ -404,37 +389,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 add("raw", day, "all", "pi_width", float(np.mean(raw_wid)))
 
             # univariate method scores
-            for method in fits:
-                pr = preds[method]
-                idx = [s for s in range(S) if pr[s] is not None and obs_ok[s]]
-                if not idx:
+            alpha = 0.5 * (1.0 - cfg.level)
+            for method, (rows, law) in preds.items():
+                if not rows.any():
                     continue
-                crps_vals, medians, means_, pits, covs, wids = [], [], [], [], [], []
-                crps_rng = seeded_rng(cfg.seed, f"score/crps/{method}/{day}")
-                alpha = 0.5 * (1.0 - cfg.level)
-                bounds = quantile_table([pr[s] for s in idx], [alpha, 0.5, 1.0 - alpha])
-                for s, (lo, med, hi) in zip(idx, bounds.tolist()):
-                    dist, y = pr[s], float(obs[s])
-                    if isinstance(dist, GaussianPredictive):
-                        crps_vals.append(ngr_mod.crps_gaussian(dist, y))
-                    else:
-                        draws = dist.sample(crps_rng, 2 * cfg.n_pair_samples)
-                        crps_vals.append(
-                            verify.crps_sample(draws[: cfg.n_pair_samples], draws[cfg.n_pair_samples:], y)
-                        )
-                    medians.append(med)
-                    means_.append(dist.mean)
-                    pits.append(verify.pit(dist, y))
-                    covs.append(lo <= y <= hi)
-                    wids.append(hi - lo)
-                    pit_station[method][s].append(pits[-1])
+                y = obs[rows]
+                lo, med, hi = law.quantile([alpha, 0.5, 1.0 - alpha]).T
+                if isinstance(law, GaussianPredictive):
+                    crps = ngr_mod.crps_gaussian(law, y)
+                else:
+                    n = cfg.n_pair_samples
+                    crps_rng = seeded_rng(cfg.seed, f"score/crps/{method}/{day}")
+                    draws = law.sample(crps_rng, 2 * n).T  # one station's draws a row
+                    crps = verify.crps_sample(draws[:, :n], draws[:, n:], y)
+                pits = verify.pit(law, y).tolist()
                 pit_pool[method].extend(pits)
-                mae, rmse = verify.mae_rmse(medians, means_, obs[idx])
-                add(method, day, "all", "crps", float(np.mean(crps_vals)))
+                for s, v in zip(np.flatnonzero(rows), pits):
+                    pit_station[method][s].append(v)
+                mae, rmse = verify.mae_rmse(med, law.mean, y)
+                add(method, day, "all", "crps", float(np.mean(crps)))
                 add(method, day, "all", "mae", mae)
                 add(method, day, "all", "rmse", rmse)
-                add(method, day, "all", "pi_coverage", float(np.mean(covs)))
-                add(method, day, "all", "pi_width", float(np.mean(wids)))
+                add(method, day, "all", "pi_coverage", float(np.mean((lo <= y) & (y <= hi))))
+                add(method, day, "all", "pi_width", float(np.mean(hi - lo)))
 
             # multivariate scoring over sampled fields
             def score_fields(label: str, sample, y_vec: np.ndarray, ds_value: Optional[float]) -> None:
@@ -446,10 +423,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 if ds_value is None:
                     ds_value = verify.ds_from_sample(fields, y_vec)
                 add(label, day, "field", "ds", ds_value)
-                reg = [i for i, sid in enumerate(sample.station_order) if sid in region_ids]
-                if reg:
-                    minima = fields[:, reg].min(axis=1)
-                    obs_min = float(y_vec[reg].min())
+                in_region = np.array([sid in region_ids for sid in sample.station_order])
+                if in_region.any():
+                    minima = verify.composite_minimum(sample, np.array(sample.station_order)[in_region])
+                    obs_min = float(y_vec[in_region].min())
                     if minima.size >= 100:
                         mc = verify.crps_sample(minima[:half], minima[half: 2 * half], obs_min)
                     else:
@@ -475,18 +452,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 label = combo_label(method, spatial_mode)
                 if method not in fits:
                     continue
-                pr = preds[method]
-                active = np.array([pr[s] is not None for s in range(S)]) & obs_ok
-                if active.sum() < 2:
+                rows, law = preds[method]
+                if rows.sum() < 2:
                     continue
-                act_idx = np.flatnonzero(active)
-                act_set = StationSet(data.stations[s] for s in act_idx)
-                y_vec = obs[active]
+                act_set = StationSet(data.stations[s] for s in np.flatnonzero(rows))
+                y_vec = obs[rows]
                 rng = seeded_rng(cfg.seed, f"sample/{label}/{day}")
                 try:
                     spatial = fit_spatial(spatial_mode, method, fits[method], data, window)
                     sample, moments = draw_fields(
-                        spatial_mode, [pr[s] for s in act_idx], fc[act_idx], act_set,
+                        spatial_mode, law, fc[rows], act_set,
                         cfg.n_field_samples, rng, seeded_rng(cfg.seed, f"ties/{day}"), spatial,
                     )
                     ds_val = None if moments is None else verify.dawid_sebastiani(*moments(), y_vec)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,8 +34,10 @@ from .core import (
     StationSet,
     TrainingWindow,
     _readonly,
+    _unbox,
     gaussian_pdf,
     impute,
+    row_dot,
 )
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -50,13 +52,13 @@ def _crps_std(z):
     return z * (2.0 * ndtr(z) - 1.0) + 2.0 * gaussian_pdf(z) - _INV_SQRT_PI
 
 
-def crps_gaussian(dist: GaussianPredictive, y: float) -> float:
-    """Closed-form continuous ranked probability score, in degC."""
-    if not np.isfinite(y):
+def crps_gaussian(dist: GaussianPredictive, y):
+    """Closed-form continuous ranked probability score, in degC; one per row of a batch law."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
         raise ValueError(f"non-finite observation {y!r}")
     sd = dist.sd
-    z = (y - dist.mean) / sd
-    return float(sd * _crps_std(z))
+    return _unbox(sd * _crps_std((y - dist.mean) / sd))
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +244,16 @@ def fit_ngr_plus(
 
 
 def predict_ngr_plus(params: NgrPlusParams, forecasts) -> GaussianPredictive:
-    """Predictive law from one station's member forecasts, missing members imputed."""
-    filled, s2, count = impute(np.ravel(forecasts))
-    if filled.size != params.beta.size:
-        raise ValueError(f"{filled.size} member values for {params.beta.size} weights")
-    if count == 0:
+    """Predictive law from member forecasts, missing members imputed.
+
+    One station's (M,) members give one law; an (n, M) stack of rows a batch.
+    """
+    filled, s2, count = impute(forecasts)
+    if filled.shape[-1] != params.beta.size:
+        raise ValueError(f"{filled.shape[-1]} member values for {params.beta.size} weights")
+    if np.any(count == 0):
         raise ValueError("no member forecasts available")
-    mean = params.a + float(filled @ params.b)
-    return GaussianPredictive(mean, params.c + params.d * float(s2))
+    return GaussianPredictive(params.a + row_dot(filled, params.b), params.c + params.d * s2)
 
 
 # ---------------------------------------------------------------------------
@@ -350,23 +354,29 @@ def fit_ngr_c(
     )
 
 
-def predict_ngr_c(params: NgrCParams, station: Union[Station, str], forecasts) -> GaussianPredictive:
-    """Predictive law at a station carrying a climatology.
+def predict_ngr_c(params: NgrCParams, station, forecasts) -> GaussianPredictive:
+    """Predictive law at stations carrying a climatology.
 
-    Missing members are imputed as in the fit, before the climatology is
-    subtracted.
+    station (a Station or an id) and its (M,) member forecasts give one law;
+    a sequence of ids, one per row of an (n, M) stack, gives a batch of n
+    laws. Missing members are imputed as in the fit, before the climatology
+    is subtracted.
     """
-    sid = station.id if isinstance(station, Station) else str(station)
-    clim = params.climatology.get(sid)
-    if clim is None:
-        raise KeyError(f"station {sid!r} has no training climatology; interpolate one first")
-    filled, s2, count = impute(np.ravel(forecasts))
-    if filled.size != params.b.size:
-        raise ValueError(f"{filled.size} member values for {params.b.size} coefficients")
-    if count == 0:
-        raise ValueError(f"no member forecasts available at station {sid!r}")
-    mean = clim.ybar + float((filled - clim.fbar) @ params.b)
-    return GaussianPredictive(mean, params.c * clim.xi2 + params.d * float(s2))
+    filled, s2, count = impute(forecasts)
+    if filled.ndim == 1:
+        station = [station.id if isinstance(station, Station) else station]
+    sids = [str(sid) for sid in station]
+    missing = [sid for sid in sids if sid not in params.climatology]
+    if missing:
+        raise KeyError(f"station {missing[0]!r} has no training climatology; interpolate one first")
+    if filled.shape[-1] != params.b.size:
+        raise ValueError(f"{filled.shape[-1]} member values for {params.b.size} coefficients")
+    if np.any(count == 0):
+        raise ValueError("no member forecasts available")
+    clims = [params.climatology[sid] for sid in sids]
+    ybar, xi2 = (np.reshape([getattr(c, k) for c in clims], count.shape) for k in ("ybar", "xi2"))
+    fbar = np.reshape([c.fbar for c in clims], filled.shape)
+    return GaussianPredictive(ybar + row_dot(filled - fbar, params.b), params.c * xi2 + params.d * s2)
 
 
 def interpolate_ngr_c(

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import VARIANCE_FLOOR, ForecastFieldSample, GaussianPredictive, _readonly, gaussian_cdf
+from .core import VARIANCE_FLOOR, ForecastFieldSample, GaussianPredictive, _readonly, _unbox, gaussian_cdf
 
 DEFAULT_INTERVAL_LEVEL = 19.0 / 21.0
 SAMPLE_COV_JITTER = 1e-5
@@ -37,13 +37,19 @@ def brier_score(prob_leq_x: float, y: float, x: float) -> float:
     return (event - prob_leq_x) ** 2
 
 
-def crps_sample(x, x_prime, y: float) -> float:
-    """Paired two-sample CRPS estimate: mean|x - y| - mean|x - x'| / 2."""
+def crps_sample(x, x_prime, y):
+    """Paired two-sample CRPS estimate: mean|x - y| - mean|x - x'| / 2.
+
+    x and x_prime may also be (n, k) rows of draws of n laws, with one y per
+    row; each row then gets the score it would get alone, bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     x_prime = np.asarray(x_prime, dtype=float)
-    if x.shape != x_prime.shape or x.ndim != 1 or x.size == 0:
-        raise ValueError("x and x_prime must be non-empty vectors of equal length")
-    return float(np.abs(x - y).mean() - 0.5 * np.abs(x - x_prime).mean())
+    y = np.asarray(y, dtype=float)
+    if x.shape != x_prime.shape or x.ndim not in (1, 2) or x.shape[-1] == 0 or y.shape != x.shape[:-1]:
+        raise ValueError("x and x_prime must be non-empty vectors, or rows, of equal length with one y per row")
+    out = np.abs(x - y[..., None]).mean(axis=-1) - 0.5 * np.abs(x - x_prime).mean(axis=-1)
+    return _unbox(out)
 
 
 def crps_ensemble(members, y: float) -> float:
@@ -252,10 +258,10 @@ def mixture_moments(weights, means, covs) -> tuple[np.ndarray, np.ndarray]:
 # calibration diagnostics
 
 
-def pit(dist, y: float) -> float:
-    """Probability integral transform G(y); `dist` may be a cdf callable."""
+def pit(dist, y):
+    """Probability integral transform G(y), one per row of a batch law; `dist` may be a cdf callable."""
     cdf = dist.cdf if hasattr(dist, "cdf") else dist
-    return float(cdf(y))
+    return _unbox(np.asarray(cdf(y), dtype=float))
 
 
 def verification_rank(members, y: float, rng: np.random.Generator) -> int:
@@ -456,13 +462,3 @@ def histogram_to_csv(hist: Histogram, path) -> None:
         writer.writerow(("bin", "count"))
         for i, c in enumerate(hist.counts, start=1):
             writer.writerow((i, int(c)))
-
-
-def histogram_from_csv(path) -> Histogram:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != ("bin", "count"):
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        counts = [int(row[1]) for row in reader if row]
-    return Histogram(np.asarray(counts), int(sum(counts)))

@@ -10,6 +10,20 @@ from enspost.ingest import LoadError
 from enspost.spatial import cholesky_with_jitter
 
 
+def assert_batch_matches_rows(batch, laws, x, levels):
+    """A batch law gives each row its scalar law's bits: moments, cdf, quantiles and draws."""
+    assert batch.mean.tolist() == [law.mean for law in laws]
+    assert batch.variance.tolist() == [law.variance for law in laws]
+    assert batch.sd.tolist() == [law.sd for law in laws]
+    assert batch.cdf(x).tolist() == [law.cdf(xi) for law, xi in zip(laws, x)]
+    assert batch.quantile(levels).tolist() == [law.quantile(levels).tolist() for law in laws]
+    assert batch.median().tolist() == [law.median() for law in laws]
+    draws = batch.sample(seeded_rng(0, "batch"), 40)
+    rng = seeded_rng(0, "batch")
+    assert draws.shape == (40, len(laws))
+    assert draws.T.tolist() == [law.sample(rng, 40).tolist() for law in laws]
+
+
 def make_stations(n, *, seed=0, width=500.0, height=500.0):
     rng = seeded_rng(seed, "test/stations")
     xs = rng.uniform(0, width, n)

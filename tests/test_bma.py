@@ -18,7 +18,13 @@ from enspost.bma import (
     sample_spatial_bma,
 )
 from enspost.synth import BmaTruth, SynthSpec, default_spec, generate
-from tests.conftest import allocating_em, last_window, make_dataset, scalar_bisection
+from tests.conftest import (
+    allocating_em,
+    assert_batch_matches_rows,
+    last_window,
+    make_dataset,
+    scalar_bisection,
+)
 
 
 def bma_dataset(seed=0, *, weights=(0.5, 0.3, 0.2), sigma2=1.0, n_days=40, n_stations=30, theta=1.0):
@@ -133,6 +139,17 @@ class TestPredictBma:
     def test_all_missing_rejected(self):
         with pytest.raises(ValueError):
             predict_bma(self.params(), np.array([np.nan, np.nan]))
+
+    def test_batch_rows_equal_scalar_laws(self):
+        # the missing member's component keeps its place at weight zero
+        params = BmaParams(a=np.array([0.5, -0.5, 0.2]), b=np.array([1.0, 1.1, 0.9]),
+                           w=np.array([0.5, 0.3, 0.2]), sigma2=2.0)
+        fc = np.array([[10.0, 12.0, 11.0], [9.0, np.nan, 14.0], [np.nan, 8.0, np.nan], [15.0, 15.5, 13.0]])
+        batch = predict_bma(params, fc)
+        laws = [predict_bma(params, row) for row in fc]
+        assert batch.weights[1].tolist() == pytest.approx([0.5 / 0.7, 0.0, 0.2 / 0.7], abs=1e-15)
+        assert laws[2].mean == pytest.approx(-0.5 + 1.1 * 8.0)
+        assert_batch_matches_rows(batch, laws, np.array([11.0, 12.0, 8.5, 14.0]), np.array([0.1, 0.5, 0.75]))
 
 
 class TestMixtureRows:

@@ -18,10 +18,9 @@ from enspost.core import (
     gaussian_quantile,
     impute,
     mixture_quantiles,
-    quantile_table,
     seeded_rng,
 )
-from tests.conftest import make_dataset, make_stations, scalar_bisection
+from tests.conftest import assert_batch_matches_rows, make_dataset, make_stations, scalar_bisection
 
 # Reference values computed with mpmath at 30 digits.
 Q75 = 0.67448975019608174
@@ -157,6 +156,44 @@ class TestMixturePredictive:
         assert x.var() == pytest.approx(m.variance, rel=0.02)
 
 
+class TestBatchLaws:
+    LEVELS = np.array([0.05, 0.5, 1 / 3, 0.95])
+
+    def test_gaussian_rows_equal_scalar_laws(self):
+        rng = seeded_rng(5, "batch")
+        mean, var = rng.normal(15.0, 5.0, 9), rng.uniform(0.1, 9.0, 9)
+        var[4] = 0.0  # floored like the scalar law
+        laws = [GaussianPredictive(m, v) for m, v in zip(mean, var)]
+        assert_batch_matches_rows(GaussianPredictive(mean, var), laws, rng.normal(15.0, 5.0, 9), self.LEVELS)
+
+    def test_mixture_rows_equal_scalar_laws(self):
+        rng = seeded_rng(6, "batch")
+        laws = random_mixtures(rng, 6, 20)
+        batch = MixturePredictive(*(np.stack([getattr(d, a) for d in laws]) for a in ("weights", "means", "variances")))
+        assert batch.means.shape == (6, 20)
+        assert_batch_matches_rows(batch, laws, rng.normal(15.0, 5.0, 6), self.LEVELS)
+
+    def test_mixture_variance_rows_where_squares_round_apart(self):
+        # a mean whose float power rounds away from m * m, as about 1 in 1000 do
+        m = next(x for x in seeded_rng(7, "batch").normal(15.0, 6.0, 100_000).tolist() if x ** 2 != x * x)
+        batch = MixturePredictive(np.ones((2, 1)), np.array([[m], [1.5]]), 0.5)
+        rows = [MixturePredictive((1.0,), (mean,), 0.5) for mean in (m, 1.5)]
+        assert batch.variance.tolist() == [law.variance for law in rows]
+
+    def test_scalar_laws_return_floats(self):
+        for law in (GaussianPredictive(1.0, 2.0), MixturePredictive((0.4, 0.6), (0.0, 1.0), 2.0)):
+            for value in (law.mean, law.variance, law.sd, law.cdf(0.3), law.quantile(0.3), law.median()):
+                assert isinstance(value, float)
+            assert law.quantile([0.2, 0.7]).shape == (2,)
+            assert law.sample(seeded_rng(0, "s"), 5).shape == (5,)
+
+    def test_batch_shapes_checked(self):
+        with pytest.raises(ValueError, match="batch"):
+            GaussianPredictive(np.zeros((2, 2)), 1.0)
+        with pytest.raises(ValueError, match="sum to"):
+            MixturePredictive(np.array([[0.5, 0.5], [0.5, 0.6]]), np.zeros((2, 2)), 1.0)
+
+
 @settings(max_examples=50)
 @given(
     st.floats(min_value=0.05, max_value=0.95),
@@ -223,23 +260,30 @@ class TestMixtureQuantilesExact:
         assert q < float(np.min(d.means - 12.0))  # left the starting bracket
         assert q == scalar_bisection(d.weights, d.means, d.variances, 1e-40)
 
-    def test_table_groups_mixtures_with_dropped_members(self):
+    def test_batch_rows_with_dropped_members(self):
+        # zero weights stand for dropped members; each row of a batch law's
+        # quantile table is its own scalar bisection
         rng = seeded_rng(3, "table")
-        dists = [d for k in (5, 3, 5, 4, 3) for d in random_mixtures(rng, 1, k)]
+        dists = random_mixtures(rng, 5, 5)
+        w = np.stack([d.weights for d in dists])
+        w[[1, 4], 2] = 0.0
+        w[3, [0, 4]] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        batch = MixturePredictive(w, np.stack([d.means for d in dists]), np.stack([d.variances for d in dists]))
         levels = [0.05, 0.5, 0.95, 1 / 6, 5 / 6]
-        table = quantile_table(dists, levels)
+        table = batch.quantile(levels)
         assert table.shape == (5, 5)
-        for row, d in zip(table, dists):
-            assert row.tolist() == [scalar_bisection(d.weights, d.means, d.variances, q) for q in levels]
+        for row, wi, mi, vi in zip(table, batch.weights, batch.means, batch.variances):
+            assert row.tolist() == [scalar_bisection(wi, mi, vi, q) for q in levels]
 
-    def test_table_rows_of_gaussian_laws(self):
-        mix = random_mixtures(seeded_rng(4, "table"), 1, 3)[0]
-        gauss = GaussianPredictive(2.0, 3.0)
+    def test_batch_gaussian_quantile_rows(self):
+        gauss = GaussianPredictive(np.array([2.0, -1.0, 2.0]), np.array([3.0, 0.5, 3.0]))
         levels = np.array([0.05, 0.5, 0.95])
-        table = quantile_table([gauss, mix, gauss], levels)
-        assert table[0].tolist() == table[2].tolist() == gauss.quantile(levels).tolist()
-        assert table[0, 1] == gauss.median()
-        assert table[1].tolist() == mix.quantile(levels).tolist()
+        table = gauss.quantile(levels)
+        assert table.shape == (3, 3)
+        assert table[0].tolist() == table[2].tolist() == GaussianPredictive(2.0, 3.0).quantile(levels).tolist()
+        assert table[:, 1].tolist() == gauss.median().tolist()
+        assert gauss.quantile(0.5).tolist() == gauss.mean.tolist()
 
     def test_level_above_total_weight_rejected(self):
         # weights may sum to within 1e-10 of one; a level above their sum

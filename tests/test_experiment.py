@@ -8,6 +8,7 @@ from enspost.bma import fit_bma, predict_bma
 from enspost.core import EnsembleDataset, TrainingWindow, seeded_rng
 from enspost.ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from enspost.experiment import (
+    METHODS,
     ExperimentConfig,
     _moment_panels,
     combo_label,
@@ -17,7 +18,7 @@ from enspost.experiment import (
     validate_combo,
 )
 from enspost.ingest import rolling_windows, save_dataset
-from enspost.ngr import _training_rows, fit_ngr_c, predict_ngr_c
+from enspost.ngr import _training_rows, fit_ngr_c, predict_ngr_c, predict_ngr_plus
 from enspost.synth import default_spec, generate
 from enspost.verify import ScoreTable, ds_from_sample, mae_rmse
 
@@ -288,7 +289,33 @@ def test_ngrc_fit_standardization_and_prediction_share_one_imputation():
 
     mu, sigma = _moment_panels("ngrc", params, data, window)
     pred = predict_ngr_c(params, data.stations.ids[s], fc[k, s])
-    assert mu[k, s] == pytest.approx(fit_mean, abs=1e-12)
-    assert pred.mean == pytest.approx(fit_mean, abs=1e-12)
-    assert sigma[k, s] ** 2 == pytest.approx(fit_var, abs=1e-12)
-    assert pred.variance == pytest.approx(fit_var, abs=1e-12)
+    assert mu[k, s] == pred.mean == fit_mean
+    assert sigma[k, s] == pred.sd
+    assert pred.variance == fit_var
+    F = data.training_panels(window)[0]
+    laws = [[predict_ngr_c(params, sid, F[t, j]) for j, sid in enumerate(data.stations.ids)] for t in range(len(window))]
+    assert mu.tolist() == [[law.mean for law in row] for row in laws]
+    assert sigma.tolist() == [[law.sd for law in row] for row in laws]
+
+
+@pytest.mark.parametrize("method", ["ngr+", "ngrc"])
+def test_standardization_moments_are_each_rows_predictive_law(method):
+    """The grf error standardization takes every training row's own predictive law, bit for bit.
+
+    A 3-D `@` over the window panel gives means that differ in the last bits
+    from the prediction's per-row dot on about 40% of the rows.
+    """
+    data = generate(default_spec(1000))
+    mismatched = 0
+    for window in rolling_windows(data, 25)[:4]:
+        params = METHODS[method].fit(data, window, None)
+        mu, sigma = _moment_panels(method, params, data, window)
+        F = data.training_panels(window)[0]
+        for t in range(len(window)):
+            for j, sid in enumerate(data.stations.ids):
+                if method == "ngr+":
+                    law = predict_ngr_plus(params, F[t, j])
+                else:
+                    law = predict_ngr_c(params, sid, F[t, j])
+                mismatched += int(mu[t, j] != law.mean) + int(sigma[t, j] != law.sd)
+    assert mismatched == 0

@@ -23,5 +23,7 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     scope = {}
     exec(compile(block, str(README), "exec"), scope)
     assert scope["window"].target_day == data.days[25]
-    mean, sd, q90 = (float(v) for v in capsys.readouterr().out.split())
+    one, day = capsys.readouterr().out.splitlines()
+    mean, sd, q90 = (float(v) for v in one.split())
     assert sd > 0 and q90 > mean
+    assert day == f"True ({data.n_stations}, 2)"
