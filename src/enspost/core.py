@@ -332,10 +332,7 @@ class MixturePredictive:
     @property
     def variance(self):
         mean = self.mean
-        # Python's float power squares a one-law mean, and it can round apart
-        # from numpy's square, so a batch squares each row's mean that way too
-        square = mean ** 2 if np.ndim(mean) == 0 else np.array([m ** 2 for m in mean.tolist()])
-        return row_dot(self.weights, self.variances + self.means ** 2) - square
+        return row_dot(self.weights, self.variances + self.means ** 2) - mean * mean
 
     @property
     def sd(self):

@@ -91,6 +91,8 @@ METHODS = {
         from_json=ngr_mod.params_from_json,
     ),
     "bma": Method(
+        # no warm start from prev: EM's weight update is multiplicative, so a
+        # weight that reached 0 on one day could never recover on the next
         fit=lambda data, window, prev: bma_mod.fit_bma(data, window),
         predictor=lambda params, stations: lambda sids, forecasts: bma_mod.predict_bma(params, forecasts),
         to_json=bma_mod.params_to_json,

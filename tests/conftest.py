@@ -112,7 +112,7 @@ def allocating_grf_fields(pred, n_samples, rng):
 
 
 def allocating_em(mu, y, sigma2, em_tol, max_iter):
-    """The BMA EM iteration with fresh temporaries, which bma._em must reproduce bit for bit."""
+    """Plain BMA EM with fresh temporaries, which plain EM by bma's buffered EM step must reproduce bit for bit."""
 
     def logsumexp_rows(a):
         a_max = a.max(axis=1, keepdims=True)

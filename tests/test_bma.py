@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from enspost.bma import (
     predict_bma,
     sample_spatial_bma,
 )
+from enspost.ingest import rolling_windows
+from enspost.spatial import build_correlation_matrix, cholesky_with_jitter
 from enspost.synth import BmaTruth, SynthSpec, default_spec, generate
 from tests.conftest import (
     allocating_em,
@@ -89,6 +92,16 @@ class TestFitBma:
             for k in (1, 2, 3, 5, 8, 13):
                 logliks.append(fit_bma(data, window, max_iter=k).loglik)
         assert all(b >= a - 1e-8 for a, b in zip(logliks, logliks[1:]))
+
+    def test_converges_while_weights_head_to_zero(self):
+        # two weights decay toward 0 here, and plain EM needs about 1,100 steps;
+        # the full SQUAREM steps overshoot on every cycle, and the fit converges
+        # only because the step length is moved back toward plain EM's
+        data = generate(default_spec(1001))
+        (window,) = [w for w in rolling_windows(data, 25) if w.target_day == "2024-01-28"]
+        params = fit_bma(data, window)
+        assert params.converged and params.n_iter < 100
+        assert np.sort(params.w)[1] < 1e-5
 
     def test_single_member_fixed_point(self):
         data = make_dataset(n_days=30, n_stations=8, n_members=1, seed=3)
@@ -187,11 +200,24 @@ class TestLogSumExpRows:
         assert _logsumexp_rows(a, np.empty_like(a)).tolist() == logsumexp(a, axis=1).tolist()
 
 
+def plain_em(mu, y, sigma2, em_tol, max_iter):
+    """Plain EM by bma's buffered EM step, with allocating_em's start and stopping rule."""
+    step = bma_mod._em_map(mu, y)
+    w = np.full(mu.shape[1], 1.0 / mu.shape[1])
+    loglik_prev = -np.inf
+    for n_iter in range(1, max_iter + 1):
+        loglik, w_next, sigma2_next = step(w, sigma2)
+        if loglik - loglik_prev < em_tol:
+            return w, sigma2, n_iter, True, loglik
+        w, sigma2, loglik_prev = w_next, sigma2_next, loglik
+    return w, sigma2, max_iter, False, loglik_prev
+
+
 class TestBufferedEmExact:
-    """fit_bma's EM gives the bits of the allocating iteration it replaced."""
+    """k buffered EM steps give the bits of the allocating iteration; SQUAREM ends at least as high."""
 
     def case(self, name):
-        if name == "cap":  # the CLI tests' panel, on which EM stops at 500 iterations
+        if name == "cap":  # the CLI tests' panel, on which plain EM stops at 500 iterations
             data = generate(default_spec(3, n_stations=8, n_days=18, n_members=5))
             return data, last_window(data, 14), 500
         if name == "tied":  # twin members: their components tie at every row's maximum they reach
@@ -211,16 +237,22 @@ class TestBufferedEmExact:
         data, window, max_iter = self.case(name)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = fit_bma(data, window, max_iter=max_iter)
+            got = fit_bma(data, window)
+            monkeypatch.setattr(bma_mod, "_em", plain_em)
+            plain = fit_bma(data, window, max_iter=max_iter)
             monkeypatch.setattr(bma_mod, "_em", allocating_em)
             want = fit_bma(data, window, max_iter=max_iter)
+        assert plain.w.tobytes() == want.w.tobytes()
+        assert (plain.sigma2, plain.n_iter, plain.converged) == (want.sigma2, want.n_iter, want.converged)
+        assert np.float64(plain.loglik).tobytes() == np.float64(want.loglik).tobytes()
+        if name == "three_iterations":
+            return
         if name == "cap":
-            assert got.n_iter == 500 and not got.converged
+            assert plain.n_iter == 500 and not plain.converged
         if name == "tied":
             assert got.a[0] == got.a[1] and got.b[0] == got.b[1] and got.w[0] == got.w[1]
-        assert got.w.tobytes() == want.w.tobytes()
-        assert (got.sigma2, got.n_iter, got.converged) == (want.sigma2, want.n_iter, want.converged)
-        assert np.float64(got.loglik).tobytes() == np.float64(want.loglik).tobytes()
+        assert got.converged and got.n_iter < 500
+        assert got.loglik >= plain.loglik
 
 
 class TestSpatialBma:
@@ -291,6 +323,69 @@ class TestSpatialBma:
         # fields driven by component 2 sit ~100 above the rest at every station
         frac_high = float((sample.fields[:, 0] > 50.0).mean())
         assert frac_high == pytest.approx(0.2, abs=0.02)
+
+    def fitted(self):
+        data = bma_dataset(seed=9)
+        window = last_window(data, 25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return data, window, fit_bma(data, window)
+
+    def fail_first_fit(self, monkeypatch, fail):
+        """Run `fail` in the first fit_variogram call, member 1's; later fits, the pooled one too, succeed."""
+        real = bma_mod.fit_variogram
+        calls = []
+
+        def fit(gamma, **kw):
+            calls.append(gamma)
+            if len(calls) == 1:
+                fail()
+            return real(gamma, **kw)
+
+        monkeypatch.setattr(bma_mod, "fit_variogram", fit)
+
+    @pytest.mark.parametrize("failure", ["ValueError", "LinAlgError", "RuntimeError", "warning"])
+    def test_numerical_member_failure_falls_back_to_pooled_fit(self, failure, monkeypatch):
+        data, window, bma = self.fitted()
+
+        def fail():
+            if failure == "warning":  # raised by fit_spatial_bma's warnings-as-errors filter
+                warnings.warn("fit did not converge", RuntimeWarning)
+            raise {"ValueError": ValueError, "LinAlgError": np.linalg.LinAlgError,
+                   "RuntimeError": RuntimeError}[failure]("fit failed")
+
+        self.fail_first_fit(monkeypatch, fail)
+        with pytest.warns(UserWarning, match="member 1 residual variogram degenerate; using pooled fit"):
+            sp = fit_spatial_bma(data, window, bma)
+        assert len(sp.variograms) == data.members
+
+    def test_programming_error_in_member_fit_propagates(self, monkeypatch):
+        data, window, bma = self.fitted()
+
+        def fail():
+            raise TypeError("bad argument")
+
+        self.fail_first_fit(monkeypatch, fail)
+        with pytest.raises(TypeError, match="bad argument"):
+            fit_spatial_bma(data, window, bma)
+
+    def test_member_means_are_the_predictive_law_means(self):
+        # the fields equal member by member a + b f (f imputed) plus sigma L z, drawn in the same order
+        data, window, bma = self.fitted()
+        sp = fit_spatial_bma(data, window, bma)
+        fc = np.array(data.forecasts[data.day_index(window.target_day)])
+        fc[3, 1] = fc[7, 0] = np.nan
+        got = sample_spatial_bma(sp, fc, data.stations, 300, seeded_rng(2, "sb"))
+        rng = seeded_rng(2, "sb")
+        filled = np.where(np.isnan(fc), np.nanmean(fc, axis=1, keepdims=True), fc)
+        comp = rng.choice(bma.members, size=300, p=bma.w / bma.w.sum())
+        want = np.empty((300, len(data.stations)))
+        for m in np.unique(comp):
+            rows = np.nonzero(comp == m)[0]
+            L, _ = cholesky_with_jitter(build_correlation_matrix(sp.variograms[m], data.stations))
+            z = rng.standard_normal((len(data.stations), rows.size))
+            want[rows] = ((bma.a[m] + bma.b[m] * filled[:, m])[:, None] + math.sqrt(bma.sigma2) * (L @ z)).T
+        assert got.fields.tobytes() == want.tobytes()
 
 
 def test_json_round_trip():

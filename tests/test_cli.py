@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import warnings
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -108,15 +109,13 @@ class TestFitPredictChain:
                 "fit", "--data", str(data), "--method", method, "--day", "2024-01-18",
                 "--window", "14", "--spatial", fit_spatial, "--out", str(params),
             ]
-            if method == "bma":
-                # EM stops at its 500-iteration cap on this panel; fit_bma warns,
-                # and the saved fit is marked unconverged
-                with pytest.warns(UserWarning, match="EM stopped after 500 iterations"):
-                    assert main(fit) == 0
-                doc = json.loads(params.read_text())
-                assert doc["converged"] is False and doc["n_iter"] == 500
-            else:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 assert main(fit) == 0
+            assert not [w for w in caught if "EM stopped" in str(w.message)]
+            if method == "bma":
+                # plain EM stops at its 500-iteration cap on this panel; SQUAREM converges
+                assert json.loads(params.read_text())["converged"] is True
             fields = workspace / f"{method}-{spatial}.fields.csv"
             assert main([
                 "sample", "--data", str(data), "--params", str(params),
