@@ -112,6 +112,7 @@ class StationSet(Sequence):
             self._index[s.id] = i
         self._coords = _readonly(np.array([[s.x, s.y] for s in self._stations], dtype=float).reshape(len(self._stations), 2))
         self._distances: Optional[np.ndarray] = None
+        self._pairs: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self._stations)
@@ -146,6 +147,15 @@ class StationSet(Sequence):
             delta = self._coords[:, None, :] - self._coords[None, :, :]
             self._distances = _readonly(np.sqrt((delta ** 2).sum(axis=2)))
         return self._distances
+
+    def station_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, distance_km, order) of the pairs i < j in np.triu_indices
+        order, cached; order is the stable argsort of their distances."""
+        if self._pairs is None:
+            iu, ju = np.triu_indices(len(self), k=1)
+            dist = self.pairwise_distances()[iu, ju]
+            self._pairs = tuple(_readonly(a) for a in (iu, ju, dist, np.argsort(dist, kind="stable")))
+        return self._pairs
 
     def max_distance(self) -> float:
         return float(self.pairwise_distances().max()) if len(self) > 1 else 0.0
@@ -284,7 +294,9 @@ class GaussianPredictive:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal(np.shape(self.mean) + (n,))  # row after row, n draws each
-        return (_by_row(self.mean, 1) + _by_row(self.sd, 1) * z).T
+        z *= _by_row(self.sd, 1)
+        z += _by_row(self.mean, 1)
+        return z.T
 
 
 @dataclass(frozen=True)
@@ -463,9 +475,6 @@ class MultivariatePredictive:
     def covariance(self) -> np.ndarray:
         return self.correlation * np.outer(self.scale, self.scale)
 
-    def marginal(self, i: int) -> GaussianPredictive:
-        return GaussianPredictive(float(self.mu[i]), float(self.scale[i] ** 2))
-
 
 @dataclass(frozen=True)
 class ForecastFieldSample:
@@ -490,6 +499,3 @@ class ForecastFieldSample:
     @property
     def n_samples(self) -> int:
         return self.fields.shape[0]
-
-    def station_values(self, station_id: str) -> np.ndarray:
-        return self.fields[:, self.station_order.index(station_id)]

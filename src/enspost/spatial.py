@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     VARIANCE_FLOOR,
@@ -109,7 +108,9 @@ def empirical_variogram(
     error difference; pairs sharing no day with both values present are
     dropped. Bins are contiguous equal-count groups of pairs sorted by
     distance; when fewer pairs than bins exist the bin count shrinks with a
-    warning.
+    warning. Pair sums and day counts are einsum Gram products over the days
+    of the NaN-zeroed panel and its mask, so they do not depend on the BLAS
+    build or its thread count; pairs and their order are cached on stations.
     """
     if tuple(stations.ids) != panel.station_ids:
         raise ValueError("panel stations do not match the station set")
@@ -118,21 +119,23 @@ def empirical_variogram(
         raise ValueError("need at least two stations")
     if n_bins < 1:
         raise ValueError("n_bins must be positive")
-    iu, ju = np.triu_indices(n, k=1)
-    e = panel.values
-    diff2 = 0.5 * (e[:, iu] - e[:, ju]) ** 2
-    valid = ~np.isnan(diff2)
-    counts = valid.sum(axis=0)
+    iu, ju, pair_dist, order = stations.station_pairs()
+    present = ~np.isnan(panel.values)
+    mask = present.astype(float)
+    e = np.where(present, panel.values, 0.0)
+    counts = np.einsum("ti,tj->ij", mask, mask)[iu, ju]
     keep = counts > 0
     if not keep.any():
         raise ValueError("no station pair has a common day with both errors present")
-    pair_gamma = np.where(valid, diff2, 0.0).sum(axis=0)[keep] / counts[keep]
-    pair_dist = stations.pairwise_distances()[iu, ju][keep]
+    # sum over common days of (e_i - e_j)^2 = e_i^2 + e_j^2 - 2 e_i e_j
+    sq_on_common = np.einsum("ti,tj->ij", e * e, mask)
+    sums = sq_on_common + sq_on_common.T - 2.0 * np.einsum("ti,tj->ij", e, e)
+    pair_gamma = 0.5 * np.maximum(sums[iu, ju], 0.0) / np.maximum(counts, 1.0)
+    order = order[keep[order]]
 
-    if pair_dist.size < n_bins:
-        warnings.warn(f"only {pair_dist.size} pairs; reducing bins from {n_bins}", stacklevel=2)
-        n_bins = pair_dist.size
-    order = np.argsort(pair_dist, kind="stable")
+    if order.size < n_bins:
+        warnings.warn(f"only {order.size} pairs; reducing bins from {n_bins}", stacklevel=2)
+        n_bins = order.size
     bins = []
     for group in np.array_split(order, n_bins):
         bins.append(VariogramBin(
@@ -176,14 +179,18 @@ def _check_model_params(theta, range_km):
 def fit_variogram(
     bins: Sequence[VariogramBin],
     r_max: Optional[float] = None,
-    start: Optional[tuple[float, float]] = None,
 ) -> VariogramFit:
     """Weighted least squares fit of (theta, range).
 
     Minimizes sum_l n_l ((gamma_hat_l - gamma(d_l)) / gamma(d_l))^2 over
-    theta in [0, 1] and range in (0, r_max] by bounded quasi-Newton descent on
-    (logit theta, log range) with analytic gradients. All-zero empirical bins
-    short-circuit to a degenerate pure-nugget-free fit.
+    theta in [1e-6, 1 - 1e-6] and range in [r_max * 1e-4, r_max]: the best
+    point of a 41 x 41 grid on (logit theta, log range), polished by damped
+    Newton steps. No BLAS or optimizer library runs, so the fit does not
+    depend on the BLAS build or its thread count. Ties go to the larger
+    theta, then the shorter range, and Newton moves only downhill: bins with
+    no distance signal (any theta fits once the range is at its floor) give
+    theta = 1 - 1e-6 at the floor, flagged degenerate. All-zero bins give a
+    degenerate fit with theta 0.
     """
     bins = tuple(bins)
     if not bins:
@@ -198,60 +205,62 @@ def fit_variogram(
     if r_max <= 0:
         raise ValueError("r_max must be positive")
 
+    def objective(theta, v):
+        """The objective at every (theta, log range) pair: (len(theta), len(v))."""
+        rise = 1.0 - np.exp(-d / np.exp(v)[:, None])
+        gamma = np.maximum((1.0 - theta[:, None, None]) * rise + theta[:, None, None], 1e-12)
+        return np.einsum("trl,l->tr", (g_hat / gamma - 1.0) ** 2, n)
+
+    v_lo, v_hi = math.log(r_max * 1e-4), math.log(r_max)
     if np.all(g_hat <= 0.0):
         warnings.warn("all empirical variogram bins are zero; returning degenerate fit", stacklevel=2)
-        model = np.clip(variogram_model(0.0, r_max, d), 1e-12, None)
-        s = float((n * ((g_hat - model) / model) ** 2).sum())
-        return VariogramFit(0.0, r_max, bins, s, degenerate=True)
+        return VariogramFit(0.0, r_max, bins, float(objective(np.zeros(1), np.array([v_hi]))[0, 0]), degenerate=True)
     if (g_hat > 0.0).sum() < 2:
         raise ValueError("need at least two positive empirical bins")
 
-    if start is None:
-        # the WLS surface traps single starts against the theta=1 boundary
-        # (flat in range there), so descend from a small deterministic grid
-        starts = [(t0, f * r_max) for t0 in (0.1, 0.5, 0.9) for f in (1 / 30, 1 / 8, 1 / 2)]
-    else:
-        starts = [start]
-
-    def objective(x):
-        u, v = x
-        theta = 1.0 / (1.0 + math.exp(-u))
-        r = math.exp(v)
-        expo = np.exp(-d / r)
-        gamma = np.clip((1.0 - theta) * (1.0 - expo) + theta, 1e-12, None)
-        ratio = g_hat / gamma
-        s = float((n * (ratio - 1.0) ** 2).sum())
-        ds_dgamma = -2.0 * n * (ratio - 1.0) * g_hat / gamma ** 2
-        dgamma_dtheta = expo
-        dgamma_dr = -(1.0 - theta) * expo * d / r ** 2
-        grad = np.array([
-            (ds_dgamma @ dgamma_dtheta) * theta * (1.0 - theta),
-            (ds_dgamma @ dgamma_dr) * r,
-        ])
-        return s, grad
-
-    bounds = [
-        (math.log(1e-6 / (1 - 1e-6)), math.log((1 - 1e-6) / 1e-6)),
-        (math.log(r_max * 1e-4), math.log(r_max)),
-    ]
-    x_best, s_best = None, math.inf
-    for theta0, r0 in starts:
-        theta0 = min(max(theta0, 1e-6), 1.0 - 1e-6)
-        r0 = min(max(r0, r_max * 1e-4), r_max)
-        x0 = np.array([math.log(theta0 / (1.0 - theta0)), math.log(r0)])
-        s_init, _ = objective(x0)
-        if s_init < s_best:  # the fit must never be worse than its start
-            x_best, s_best = x0, s_init
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
-        if float(res.fun) < s_best:
-            x_best, s_best = res.x, float(res.fun)
-    theta = 1.0 / (1.0 + math.exp(-x_best[0]))
-    r = math.exp(x_best[1])
+    thetas = 1.0 / (1.0 + np.exp(-np.linspace(math.log((1 - 1e-6) / 1e-6), math.log(1e-6 / (1 - 1e-6)), 41)))
+    vs = np.linspace(v_lo, v_hi, 41)
+    s = objective(thetas, vs)
+    i, j = np.unravel_index(np.argmin(s), s.shape)
+    x, s_x = np.array([thetas[i], vs[j]]), float(s[i, j])
+    lo, hi = np.array([thetas[-1], v_lo]), np.array([thetas[0], v_hi])
+    damping = 1e-3
+    for _ in range(100):  # 3 to 9 steps on the desk seasons' fits
+        q = d / math.exp(x[1])
+        expo = np.exp(-q)
+        gamma = (1.0 - x[0]) * (1.0 - expo) + x[0]
+        res = g_hat / gamma - 1.0
+        r1, r2 = -g_hat / gamma ** 2, 2.0 * g_hat / gamma ** 3  # d res / d gamma, d2 res / d gamma2
+        dg = np.stack([expo, -(1.0 - x[0]) * expo * q])  # d gamma / d (theta, log range)
+        grad = np.einsum("kl,l->k", dg, n * res * r1)
+        # a coordinate on a bound that its gradient pushes against stays there
+        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+        grad *= free
+        if np.all(np.abs(grad) * (hi - lo) <= 1e-15 * s_x):
+            break  # no first-order gain left across the whole box
+        hess = np.einsum("kl,ml,l->km", dg, dg, n * (r1 * r1 + res * r2))
+        curv = n * res * r1 * expo * q  # the terms of gamma's own second derivatives
+        hess += np.array([[0.0, curv.sum()], [curv.sum(), -(curv * (1.0 - x[0]) * (q - 1.0)).sum()]])
+        hess += np.diag(damping * np.einsum("kl,kl,l->k", dg, dg, n * r1 * r1))
+        m = np.where(np.outer(free, free), hess, np.eye(2))
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if not (det > 0.0 and m[0, 0] > 0.0):
+            damping *= 10.0  # not positive definite: lean toward gradient descent
+            continue
+        step = np.array([m[0, 1] * grad[1] - m[1, 1] * grad[0], m[1, 0] * grad[0] - m[0, 0] * grad[1]]) / det
+        if -np.einsum("k,k->", grad, step) <= 1e-15 * s_x:
+            break  # the step cannot gain beyond rounding
+        x_new = np.clip(x + step, lo, hi)
+        s_new = float(objective(x_new[:1], x_new[1:])[0, 0])
+        if s_new < s_x:
+            x, s_x, damping = x_new, s_new, damping * 0.1
+        else:
+            damping *= 10.0
+    r = math.exp(x[1])
     # a range collapsed onto its lower bound means the bins carry no distance
     # signal (any theta fits equally well there): flag, don't fail
     collapsed = r <= r_max * 1e-4 * (1.0 + 1e-9)
-    return VariogramFit(float(theta), float(min(r, r_max)), bins, s_best, degenerate=collapsed)
+    return VariogramFit(float(x[0]), float(min(r, r_max)), bins, s_x, degenerate=collapsed)
 
 
 def build_correlation_matrix(fit: Union[VariogramFit, tuple[float, float]], stations: StationSet) -> np.ndarray:

@@ -142,39 +142,51 @@ def energy_score_ensemble(x, y) -> float:
 
 
 def spatial_median(points, *, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
-    """Geometric median by iterative reweighting.
+    """Geometric median by Weiszfeld's iterative reweighting.
 
-    Handles iterates that land on a data point by the standard shift rule;
-    non-convergence returns the best iterate with a warning.
+    Each step gets the squared distances |x_i|^2 - 2 x_i.y + |y|^2 and the
+    weighted sum from two einsum passes over the points centred on their
+    mean, with no BLAS call, so the result does not depend on the BLAS build
+    or its thread count. Iterates that land on a data point take the
+    standard shift step; non-convergence returns the best iterate with a
+    warning.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     if x.shape[0] == 1:
         return x[0].copy()
-    y = x.mean(axis=0)
-    buf = np.empty_like(x)
+    centre = x.mean(axis=0)
+    xc = x - centre  # the only (n, d) temporary, laid out like x
+    sq = np.einsum("ij,ij->i", xc, xc)
+    y = np.zeros(x.shape[1])
     for _ in range(max_iter):
-        d = _row_norms(x, y, buf)
+        yy = np.einsum("j,j->", y, y)
+        d2 = sq - 2.0 * np.einsum("ij,j->i", xc, y) + yy
+        # below 1e-4 of |x_i|^2 + |y|^2 cancellation may cost the expanded
+        # form more than about 1e-10 of its value: recompute those directly
+        near = np.flatnonzero(d2 < 1e-4 * (sq + yy))
+        if near.size:
+            diff = xc[near] - y
+            d2[near] = np.einsum("ij,ij->i", diff, diff)
+        d = np.sqrt(d2)
         on_point = d < 1e-12
+        w = np.divide(1.0, d, out=np.zeros_like(d), where=~on_point)
+        w_sum = w.sum()
+        if w_sum == 0.0:
+            return y + centre  # all points coincide
+        pull = np.einsum("i,ij->j", w, xc)
+        y_new = pull / w_sum
         if on_point.any():
-            off = ~on_point
-            if not off.any():
-                return y  # all points coincide
-            w = 1.0 / d[off]
-            t = (x[off] * w[:, None]).sum(axis=0) / w.sum()
-            r = np.linalg.norm(((x[off] - y) * w[:, None]).sum(axis=0))
+            r = math.hypot(*(pull - w_sum * y))
             eta = float(on_point.sum())
             if r <= eta:
-                return y  # the data point itself is the median
+                return y + centre  # the data point itself is the median
             step = min(1.0, eta / r)
-            y_new = (1.0 - step) * t + step * y
-        else:
-            w = 1.0 / d
-            y_new = np.multiply(x, w[:, None], out=buf).sum(axis=0) / w.sum()
-        if np.linalg.norm(y_new - y) < tol:
-            return y_new
+            y_new = (1.0 - step) * y_new + step * y
+        if math.hypot(*(y_new - y)) < tol:
+            return y_new + centre
         y = y_new
     warnings.warn(f"geometric median did not reach tol {tol} in {max_iter} iterations", stacklevel=2)
-    return y
+    return y + centre
 
 
 def euclidean_error(median, y) -> float:

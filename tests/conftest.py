@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import ndtr
 
 from enspost.core import VARIANCE_FLOOR, EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
 from enspost.ingest import LoadError
-from enspost.spatial import cholesky_with_jitter
+from enspost.spatial import VariogramBin, VariogramFit, cholesky_with_jitter
 
 
 def assert_batch_matches_rows(batch, laws, x, levels):
@@ -102,6 +103,66 @@ def allocating_spatial_median(points, *, tol=1e-8, max_iter=1000):
             return y_new
         y = y_new
     raise AssertionError("reference median did not converge")
+
+
+def pairloop_empirical_variogram(panel, stations, n_bins=20):
+    """Equal-count variogram bins from one station pair at a time, which the Gram-sum bins must reproduce."""
+    e = panel.values
+    dist = stations.pairwise_distances()
+    pairs = []
+    for i in range(len(stations)):
+        for j in range(i + 1, len(stations)):
+            common = ~np.isnan(e[:, i]) & ~np.isnan(e[:, j])
+            if common.any():
+                pairs.append((dist[i, j], 0.5 * np.mean((e[common, i] - e[common, j]) ** 2)))
+    pair_dist, pair_gamma = np.array(pairs).T
+    order = np.argsort(pair_dist, kind="stable")
+    return tuple(
+        VariogramBin(float(pair_dist[g].mean()), float(pair_gamma[g].mean()), int(g.size))
+        for g in np.array_split(order, min(n_bins, order.size))
+    )
+
+
+def multistart_fit_variogram(bins, r_max=None):
+    """The WLS variogram fit by L-BFGS-B from a 3 x 3 grid of starts, which the grid search must match or beat."""
+    d = np.array([b.distance_km for b in bins])
+    g_hat = np.array([b.gamma for b in bins])
+    n = np.array([b.n_pairs for b in bins], dtype=float)
+    r_max = float(d.max()) if r_max is None else r_max
+
+    def objective(x):
+        u, v = x
+        theta = 1.0 / (1.0 + math.exp(-u))
+        r = math.exp(v)
+        expo = np.exp(-d / r)
+        gamma = np.clip((1.0 - theta) * (1.0 - expo) + theta, 1e-12, None)
+        ratio = g_hat / gamma
+        s = float((n * (ratio - 1.0) ** 2).sum())
+        ds_dgamma = -2.0 * n * (ratio - 1.0) * g_hat / gamma ** 2
+        grad = np.array([
+            (ds_dgamma @ expo) * theta * (1.0 - theta),
+            (ds_dgamma @ (-(1.0 - theta) * expo * d / r ** 2)) * r,
+        ])
+        return s, grad
+
+    bounds = [
+        (math.log(1e-6 / (1 - 1e-6)), math.log((1 - 1e-6) / 1e-6)),
+        (math.log(r_max * 1e-4), math.log(r_max)),
+    ]
+    x_best, s_best = None, math.inf
+    for theta0 in (0.1, 0.5, 0.9):
+        for r0 in (r_max / 30, r_max / 8, r_max / 2):
+            x0 = np.array([math.log(theta0 / (1.0 - theta0)), math.log(r0)])
+            s_init, _ = objective(x0)
+            if s_init < s_best:
+                x_best, s_best = x0, s_init
+            res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                           options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
+            if float(res.fun) < s_best:
+                x_best, s_best = res.x, float(res.fun)
+    r = math.exp(x_best[1])
+    return VariogramFit(1.0 / (1.0 + math.exp(-x_best[0])), min(r, r_max), bins, s_best,
+                        degenerate=r <= r_max * 1e-4 * (1.0 + 1e-9))
 
 
 def allocating_grf_fields(pred, n_samples, rng):

@@ -17,7 +17,14 @@ from enspost.spatial import (
     standardize_errors,
     variogram_model,
 )
-from tests.conftest import allocating_grf_fields, last_window, make_dataset, make_stations
+from tests.conftest import (
+    allocating_grf_fields,
+    last_window,
+    make_dataset,
+    make_stations,
+    multistart_fit_variogram,
+    pairloop_empirical_variogram,
+)
 
 # theta=0.3, r=100, d=100: 0.7(1 - e^-1) + 0.3 and 0.7 e^-1, mpmath 30 digits
 GAMMA_EXAMPLE = 0.74248439117999059
@@ -109,6 +116,35 @@ class TestEmpiricalVariogram:
             bins = empirical_variogram(panel, stations, n_bins=20)
         assert len(bins) == 3
 
+    def test_gram_sums_match_pair_loop_on_gapped_panel(self):
+        # S13 sits on S1, so pairs tie in distance; S1 and S2 are never
+        # present on the same day, so that pair drops out
+        base = make_stations(12, seed=12)
+        stations = StationSet(list(base) + [Station("S13", base[0].x, base[0].y)])
+        rng = seeded_rng(12, "gapped")
+        values = rng.standard_normal((30, 13)) + rng.standard_normal((30, 1))
+        values[rng.random(values.shape) < 0.2] = np.nan
+        values[0::2, 0] = np.nan
+        values[1::2, 1] = np.nan
+        panel = StandardizedErrorPanel(tuple(f"d{i}" for i in range(30)), stations.ids, values)
+        got = empirical_variogram(panel, stations, n_bins=7)
+        want = pairloop_empirical_variogram(panel, stations, n_bins=7)
+        assert sum(b.n_pairs for b in got) == 13 * 12 // 2 - 1
+        assert [(b.distance_km, b.n_pairs) for b in got] == [(b.distance_km, b.n_pairs) for b in want]
+        np.testing.assert_allclose([b.gamma for b in got], [b.gamma for b in want], rtol=1e-12, atol=0.0)
+
+    def test_near_identical_series_keep_nonnegative_semivariance(self):
+        # S1 and S2 share a spot and their errors differ by 1e-9: the Gram
+        # sums cancel to a rounding error of about 1e-12, negative on this seed
+        stations = StationSet([Station("S1", 0.0, 0.0), Station("S2", 0.0, 0.0), Station("S3", 50.0, 0.0)])
+        rng = seeded_rng(5, "twins")
+        values = 10.0 * rng.standard_normal((25, 3))
+        values[:, 1] = values[:, 0] + 1e-9 * rng.standard_normal(25)
+        panel = StandardizedErrorPanel(tuple(f"d{i}" for i in range(25)), stations.ids, values)
+        twins = empirical_variogram(panel, stations, n_bins=3)[0]
+        assert twins.distance_km == 0.0 and twins.n_pairs == 1
+        assert 0.0 <= twins.gamma < 1e-12
+
 
 class TestFitVariogram:
     def test_noise_free_forward_recovery(self):
@@ -152,6 +188,37 @@ class TestFitVariogram:
         fit = fit_variogram(empirical_variogram(panel, stations))
         assert fit.theta == pytest.approx(theta, abs=0.06)
         assert fit.range_km == pytest.approx(r, rel=0.25)
+
+    @pytest.mark.parametrize("seed, theta, r", [
+        (0, 0.1, 60.0), (1, 0.3, 120.0), (2, 0.5, 250.0), (3, 0.7, 40.0), (4, 0.05, 300.0),
+        (8, 0.3, 5000.0),  # the fitted range sits on its upper bound, r_max
+        (10, 0.0, 40.0),  # the fitted theta sits on its lower bound, 1e-6
+    ])
+    def test_grid_search_matches_multistart_descent(self, seed, theta, r):
+        rng = seeded_rng(seed, "grid-vs-descent")
+        stations = make_stations(40, seed=seed)
+        chol = np.linalg.cholesky(build_correlation_matrix((theta, r), stations))
+        vals = rng.standard_normal((25, 40)) @ chol.T
+        vals[rng.random(vals.shape) < 0.05] = np.nan
+        panel = StandardizedErrorPanel(tuple(f"d{i}" for i in range(25)), stations.ids, vals)
+        bins = empirical_variogram(panel, stations)
+        got, want = fit_variogram(bins), multistart_fit_variogram(bins)
+        assert not got.degenerate and not want.degenerate
+        assert got.objective <= want.objective * (1.0 + 1e-12)
+        assert got.theta == pytest.approx(want.theta, abs=1e-6)
+        assert got.range_km == pytest.approx(want.range_km, rel=1e-5)
+
+    def test_flat_fit_ties_to_pure_nugget_at_floor_range(self):
+        # errors with variance 1.7 put every bin above the sill of 1: the best
+        # fit is gamma = 1 everywhere, reached at the floor range for any theta
+        stations = make_stations(30, seed=13)
+        vals = 1.3 * seeded_rng(13, "flat").standard_normal((25, 30))
+        panel = StandardizedErrorPanel(tuple(f"d{i}" for i in range(25)), stations.ids, vals)
+        bins = empirical_variogram(panel, stations)
+        fit = fit_variogram(bins, r_max=stations.max_distance())
+        assert fit.degenerate
+        assert fit.theta == pytest.approx(1.0 - 1e-6, rel=1e-12)
+        assert fit.range_km == pytest.approx(stations.max_distance() * 1e-4, rel=1e-9)
 
 
 class TestCorrelationMatrix:
