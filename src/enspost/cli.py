@@ -1,9 +1,9 @@
 """Command-line driver: simulate, fit, predict, sample, and verify.
 
 Subcommands: synth, fit, predict, sample, verify, experiment. Every command
-takes explicit input/output paths and an optional --seed; experiment reads a
-key=value config file whose values individual flags override. Exit status is
-0 only when the command ran without errors (warnings do not change it).
+takes explicit input/output paths; synth, sample and experiment take --seed.
+experiment reads a key=value config file whose values flags override. Exit
+status is 0 only when the command ran without errors (warnings do not count).
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spatial", choices=("none", "grf", "spatial-bma"), default="none",
                    help="also fit the error-correlation model this mode needs")
     p.add_argument("--out", required=True, help="output params JSON")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; fits are deterministic")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="per-station predictive moments from fitted params")
@@ -236,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="params JSON from fit")
     p.add_argument("--day", default=None, help="defaults to the params file's target day")
     p.add_argument("--out", required=True, help="output CSV (station_id,mean,sd)")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; predictions are deterministic")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("sample", help="draw forecast fields from fitted params")
@@ -254,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--day", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; scores are deterministic")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="rolling-window experiment over all target days")

@@ -411,7 +411,8 @@ def mixture_quantiles(weights, means, sd, p, tol: float = 1e-10) -> np.ndarray:
     rows = np.arange(p.size)
     rows = rows[cdf(rows, hi) < p]
     while rows.size:
-        hi[rows] += hi[rows] - lo[rows]
+        with np.errstate(over="ignore"):  # reaching inf is the stop signal below
+            hi[rows] += hi[rows] - lo[rows]
         if np.isinf(hi[rows]).any():  # weights summing to just under 1 never reach p
             raise ValueError("quantile level exceeds the mixture's total weight")
         rows = rows[cdf(rows, hi[rows]) < p[rows]]

@@ -1,11 +1,12 @@
 """Rolling-window experiment engine.
 
-For every eligible target day: fit each requested method on the training
-window, predict at all stations, draw forecast fields per spatial mode, and
-score everything against the observations. The raw ensemble is always scored
-alongside as the baseline. Outputs are written in day order with all
-randomness drawn from named streams of the single config seed, so a rerun
-with the same config is byte-identical.
+run_experiment scores each target day through the stages fit_methods,
+raw_scores (the raw-ensemble baseline), marginal_scores, and draw_combo with
+score_fields, one combo at a time after the raw ensemble's own field. Each
+stage returns its (unit, score, value) rows and histogram entries for the
+loop to record. The raw field and every combo of a day share one
+active-station set (ActiveDay). Randomness comes from named streams of the
+config seed, so a rerun with the same config is byte-identical.
 
 Output layout under the configured directory:
   scores.csv                per-day score rows (date, unit, method, score, value)
@@ -15,9 +16,8 @@ Output layout under the configured directory:
   banddepth_<combo>.csv     pooled band-depth rank histogram (21 bins)
   params/<combo>/<date>.json  per-day fitted parameters
 
-Reliability indices are computed per station over the run and averaged; the
-per-station PIT histograms use 21 bins so the index is comparable with the
-21-rank raw histogram.
+`ri` is the station mean of the reliability index of each station's PIT or
+raw rank histogram, both with M+1 bins.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import dataclasses
 import json
 import logging
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -40,6 +41,7 @@ from .core import (
     ForecastFieldSample,
     GaussianPredictive,
     StationSet,
+    TrainingWindow,
     impute,
     seeded_rng,
 )
@@ -131,17 +133,17 @@ def combo_label(method: str, spatial_mode: str) -> str:
     return method if spatial_mode == "none" else f"{method}/{spatial_mode}"
 
 
+def _items(text) -> list[str]:
+    return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+
+
 def parse_combos(text: str) -> tuple[tuple[str, str], ...]:
     """Comma list of `method` or `method/spatial` entries."""
     combos = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _items(text):
         method, _, spatial_mode = tok.partition("/")
-        spatial_mode = spatial_mode or "none"
-        validate_combo(method, spatial_mode)
-        pair = (method, spatial_mode)
+        pair = (method, spatial_mode or "none")
+        validate_combo(*pair)
         if pair in combos:
             raise ValueError(f"combo {tok!r} listed twice")
         combos.append(pair)
@@ -181,39 +183,31 @@ class ExperimentConfig:
             raise ValueError("interval level must lie strictly between 0 and 1")
 
 
-def parse_experiment_config(kv: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Config from key=value text (see keys below); overrides win.
+# config key -> (ExperimentConfig field, parser of the key's text)
+_CONFIG_KEYS = {
+    "data": ("data_dir", str),
+    "out": ("out_dir", str),
+    "combos": ("combos", parse_combos),
+    "window": ("window_length", int),
+    "samples": ("n_pair_samples", int),
+    "fields": ("n_field_samples", int),
+    "thresholds": ("thresholds", lambda text: tuple(float(tok) for tok in _items(text))),
+    "region": ("region", lambda text: tuple(_items(text))),
+    "level": ("level", float),
+    "seed": ("seed", int),
+}
 
-    Keys: data, out, combos, window, samples, fields, thresholds, region,
-    level, seed.
-    """
-    merged = dict(kv)
-    merged.update(overrides or {})
-    known = {"data", "out", "combos", "window", "samples", "fields", "thresholds", "region", "level", "seed"}
-    unknown = set(merged) - known
+
+def parse_experiment_config(kv: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Config from key=value text with the keys of _CONFIG_KEYS; overrides win."""
+    merged = {**kv, **(overrides or {})}
+    unknown = set(merged) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for required in ("data", "out"):
         if required not in merged:
             raise ValueError(f"config needs {required}=")
-    kwargs = {"data_dir": merged["data"], "out_dir": merged["out"]}
-    if "combos" in merged:
-        kwargs["combos"] = parse_combos(merged["combos"])
-    if "window" in merged:
-        kwargs["window_length"] = int(merged["window"])
-    if "samples" in merged:
-        kwargs["n_pair_samples"] = int(merged["samples"])
-    if "fields" in merged:
-        kwargs["n_field_samples"] = int(merged["fields"])
-    if "thresholds" in merged:
-        kwargs["thresholds"] = tuple(float(tok) for tok in str(merged["thresholds"]).split(",") if tok.strip())
-    if "region" in merged:
-        kwargs["region"] = tuple(tok.strip() for tok in str(merged["region"]).split(",") if tok.strip())
-    if "level" in merged:
-        kwargs["level"] = float(merged["level"])
-    if "seed" in merged:
-        kwargs["seed"] = int(merged["seed"])
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{_CONFIG_KEYS[key][0]: _CONFIG_KEYS[key][1](text) for key, text in merged.items()})
 
 
 @dataclass
@@ -227,15 +221,12 @@ class ExperimentResult:
 # per-day helpers
 
 
-def predict_rows(method: str, params, stations: StationSet, forecasts: np.ndarray, keep=None):
+def predict_rows(method: str, params, stations: StationSet, forecasts: np.ndarray):
     """Rows of forecasts (..., S, M) with a member, and the method's batch law on them.
 
-    Returns the rows as a (..., S) mask, narrowed further by the mask `keep`,
-    and one law over them in row order.
+    Returns the rows as a (..., S) mask and one law over them in row order.
     """
     rows = np.isfinite(forecasts).any(axis=-1)
-    if keep is not None:
-        rows &= keep
     ids = np.broadcast_to(np.array(stations.ids), rows.shape)[rows]
     return rows, METHODS[method].predictor(params, stations)(ids, forecasts[rows])
 
@@ -302,6 +293,98 @@ def draw_fields(
 
 
 # ---------------------------------------------------------------------------
+# the day's stages
+
+
+@dataclass(frozen=True)
+class ActiveDay:
+    """A target day's rows with an observation and a member, which every stage and combo shares."""
+
+    window: TrainingWindow
+    y: np.ndarray  # (n,) their observations
+    members: np.ndarray  # (n, M) their raw members
+    stations: StationSet  # their stations: one set, so one distance matrix, for every combo
+    region: np.ndarray  # (n,) mask of those in the composite-minimum region
+
+
+def fit_methods(methods, data: EnsembleDataset, window: TrainingWindow, prev: dict) -> dict:
+    """Each method's fit, warm-started from prev, which takes it; a numerical failure is logged and left out."""
+    fits = {}
+    for method in methods:
+        try:
+            fits[method] = prev[method] = METHODS[method].fit(data, window, prev.get(method))
+        except _DAY_FAILURES as exc:
+            log.warning("day %s: %s fit failed: %s", window.target_day, method, exc)
+    return fits
+
+
+def _univariate_rows(crps, medians, means, y, covered, width) -> list:
+    mae, rmse = verify.mae_rmse(medians, means, y)
+    return [("all", "crps", float(np.mean(crps))), ("all", "mae", mae), ("all", "rmse", rmse),
+            ("all", "pi_coverage", float(np.mean(covered))), ("all", "pi_width", float(np.mean(width)))]
+
+
+def raw_scores(obs: np.ndarray, fc: np.ndarray, rng) -> tuple[list, np.ndarray]:
+    """Raw-ensemble rows over stations with an observation and 2+ members, and their (S,) ranks, NaN: none."""
+    ranks = np.full(obs.shape, np.nan)
+    scored = []
+    for s in np.flatnonzero(np.isfinite(obs)):
+        members = fc[s][np.isfinite(fc[s])]
+        if members.size >= 2:
+            ranks[s] = verify.verification_rank(members, obs[s], rng)
+            scored.append((verify.crps_ensemble(members, obs[s]), float(np.median(members)), float(members.mean()),
+                           *verify.ensemble_range_coverage(members, obs[s])))
+    if not scored:
+        return [], ranks
+    crps, medians, means, covered, width = zip(*scored)
+    return _univariate_rows(crps, medians, means, obs[np.isfinite(ranks)], covered, width), ranks
+
+
+def marginal_scores(method: str, law, day: ActiveDay, cfg: ExperimentConfig) -> tuple[list, np.ndarray]:
+    """A method's rows for its batch law on the day's active rows, and their PITs."""
+    y, n_pairs = day.y, cfg.n_pair_samples
+    alpha = 0.5 * (1.0 - cfg.level)
+    lo, med, hi = law.quantile([alpha, 0.5, 1.0 - alpha]).T
+    if isinstance(law, GaussianPredictive):
+        crps = ngr_mod.crps_gaussian(law, y)
+    else:
+        rng = seeded_rng(cfg.seed, f"score/crps/{method}/{day.window.target_day}")
+        draws = law.sample(rng, 2 * n_pairs).T  # one station's draws a row
+        crps = verify.crps_sample(draws[:, :n_pairs], draws[:, n_pairs:], y)
+    return _univariate_rows(crps, med, law.mean, y, (lo <= y) & (y <= hi), hi - lo), verify.pit(law, y)
+
+
+def draw_combo(method: str, mode: str, params, law, data: EnsembleDataset, day: ActiveDay, cfg: ExperimentConfig):
+    """One combo's (correlation fit, fields, model ds or None) over the day's active stations."""
+    label, date = combo_label(method, mode), day.window.target_day
+    spatial = fit_spatial(mode, method, params, data, day.window)
+    rng, tie_rng = seeded_rng(cfg.seed, f"sample/{label}/{date}"), seeded_rng(cfg.seed, f"ties/{date}")
+    sample, moments = draw_fields(mode, law, day.members, day.stations, cfg.n_field_samples, rng, tie_rng, spatial)
+    return spatial, sample, None if moments is None else verify.dawid_sebastiani(*moments(), day.y)
+
+
+def score_fields(label: str, fields: np.ndarray, ds: Optional[float], day: ActiveDay, cfg: ExperimentConfig):
+    """A label's field and region rows for its fields, ds taken from them if None, and its band-depth ranks."""
+    es, ee = verify.field_scores(fields, day.y)
+    if ds is None:
+        ds = verify.ds_from_sample(fields, day.y)
+    rows = [("field", "es", es), ("field", "ee", ee), ("field", "ds", ds)]
+    if day.region.any():
+        minima = fields[:, day.region].min(axis=1)
+        obs_min = float(day.y[day.region].min())
+        half = minima.size // 2
+        min_crps = (verify.crps_sample(minima[:half], minima[half: 2 * half], obs_min) if minima.size >= 100
+                    else verify.crps_ensemble(minima, obs_min))
+        rows += [("region", "min_crps", min_crps), ("region", "min_bias", float(minima.mean()) - obs_min)]
+        rows += [("region", f"bs@{x:g}", verify.brier_score(verify.threshold_prob(minima, x), obs_min, x))
+                 for x in cfg.thresholds]
+    if fields.shape[0] < 2:
+        return rows, []
+    rng = seeded_rng(cfg.seed, f"verify/banddepth/{label}/{day.window.target_day}")
+    return rows, [verify.band_depth_rank(np.vstack([day.y[None, :], fields[:BAND_DEPTH_FIELDS]]), rng, 0)]
+
+
+# ---------------------------------------------------------------------------
 # the run
 
 
@@ -322,179 +405,78 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # spatial combo was requested, so those labels must exist too
     bare = [m for m in methods if m not in labels]
     all_labels = ["raw"] + bare + labels
-    S = data.n_stations
-    M = data.members
-    region_ids = cfg.region or data.stations.ids
 
     table = verify.ScoreTable()
-    acc: dict = {lab: {} for lab in all_labels}
-    pit_pool: dict = {m: [] for m in methods}
-    pit_station: dict = {m: [[] for _ in range(S)] for m in methods}
-    rank_pool: list = []
-    rank_station: list = [[] for _ in range(S)]
-    bd_pool: dict = {lab: [] for lab in all_labels}
+    # (day, station) panels of PITs and raw ranks, NaN where a row has none
+    pits = {m: np.full((len(windows), data.n_stations), np.nan) for m in methods}
+    ranks = np.full((len(windows), data.n_stations), np.nan)
+    band_depth: dict = {lab: [] for lab in all_labels}
     failed: dict = {lab: [] for lab in all_labels}
     n_warnings = 0
     prev: dict = {}
 
-    def add(label: str, day: str, unit: str, score: str, value: float) -> None:
-        table.add(day, unit, label, score, value)
-        acc[label].setdefault(score, []).append(float(value))
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        for k, window in enumerate(windows):
+            date = window.target_day
+            t = data.day_index(date)
+            obs, fc = data.observations[t], data.forecasts[t]
+            active = np.isfinite(obs) & np.isfinite(fc).any(axis=1)
+            act_set = StationSet(data.stations[s] for s in np.flatnonzero(active))
+            day = ActiveDay(window, obs[active], fc[active], act_set, np.isin(act_set.ids, cfg.region or act_set.ids))
 
-        for window in windows:
-            day = window.target_day
-            t = data.day_index(day)
-            obs = data.observations[t]
-            fc = data.forecasts[t]
-            obs_ok = np.isfinite(obs)
+            fits = fit_methods(methods, data, window, prev)
+            n_warnings += len(methods) - len(fits)
+            for lab in bare + labels:
+                if lab.partition("/")[0] not in fits:
+                    failed[lab].append(date)
 
-            fits = {}
-            for method in methods:
-                try:
-                    fits[method] = prev[method] = METHODS[method].fit(data, window, prev.get(method))
-                except _DAY_FAILURES as exc:
-                    log.warning("day %s: %s fit failed: %s", day, method, exc)
-                    n_warnings += 1
-                    for lab in all_labels:
-                        if lab == method or lab.startswith(method + "/"):
-                            failed[lab].append(day)
+            rows, ranks[k] = raw_scores(obs, fc, seeded_rng(cfg.seed, f"verify/rank/{date}"))
+            table.add_rows(date, "raw", rows)
+            if not active.any():
+                continue
+            laws = {m: METHODS[m].predictor(fits[m], data.stations)(act_set.ids, day.members) for m in fits}
+            for method, law in laws.items():
+                rows, pits[method][k, active] = marginal_scores(method, law, day, cfg)
+                table.add_rows(date, method, rows)
+            if active.sum() < 2:
+                continue
 
-            # each method's law on the stations with a member and an observation
-            preds = {m: predict_rows(m, fits[m], data.stations, fc, obs_ok) for m in fits}
-
-            # raw-ensemble baseline
-            raw_rng = seeded_rng(cfg.seed, f"verify/rank/{day}")
-            raw_crps, raw_med, raw_mean, raw_cov, raw_wid, raw_y = [], [], [], [], [], []
-            for s in range(S):
-                members = fc[s][np.isfinite(fc[s])]
-                if not obs_ok[s] or members.size < 2:
-                    continue
-                raw_crps.append(verify.crps_ensemble(members, obs[s]))
-                raw_med.append(float(np.median(members)))
-                raw_mean.append(float(members.mean()))
-                raw_y.append(float(obs[s]))
-                covered, width = verify.ensemble_range_coverage(members, obs[s])
-                raw_cov.append(covered)
-                raw_wid.append(width)
-                rank = verify.verification_rank(members, obs[s], raw_rng)
-                rank_pool.append(rank)
-                rank_station[s].append(rank)
-            if raw_crps:
-                mae, rmse = verify.mae_rmse(raw_med, raw_mean, raw_y)
-                add("raw", day, "all", "crps", float(np.mean(raw_crps)))
-                add("raw", day, "all", "mae", mae)
-                add("raw", day, "all", "rmse", rmse)
-                add("raw", day, "all", "pi_coverage", float(np.mean(raw_cov)))
-                add("raw", day, "all", "pi_width", float(np.mean(raw_wid)))
-
-            # univariate method scores
-            alpha = 0.5 * (1.0 - cfg.level)
-            for method, (rows, law) in preds.items():
-                if not rows.any():
-                    continue
-                y = obs[rows]
-                lo, med, hi = law.quantile([alpha, 0.5, 1.0 - alpha]).T
-                if isinstance(law, GaussianPredictive):
-                    crps = ngr_mod.crps_gaussian(law, y)
-                else:
-                    n = cfg.n_pair_samples
-                    crps_rng = seeded_rng(cfg.seed, f"score/crps/{method}/{day}")
-                    draws = law.sample(crps_rng, 2 * n).T  # one station's draws a row
-                    crps = verify.crps_sample(draws[:, :n], draws[:, n:], y)
-                pits = verify.pit(law, y).tolist()
-                pit_pool[method].extend(pits)
-                for s, v in zip(np.flatnonzero(rows), pits):
-                    pit_station[method][s].append(v)
-                mae, rmse = verify.mae_rmse(med, law.mean, y)
-                add(method, day, "all", "crps", float(np.mean(crps)))
-                add(method, day, "all", "mae", mae)
-                add(method, day, "all", "rmse", rmse)
-                add(method, day, "all", "pi_coverage", float(np.mean((lo <= y) & (y <= hi))))
-                add(method, day, "all", "pi_width", float(np.mean(hi - lo)))
-
-            # multivariate scoring over sampled fields
-            def score_fields(label: str, sample, y_vec: np.ndarray, ds_value: Optional[float]) -> None:
-                fields = sample.fields
-                half = fields.shape[0] // 2
-                es, ee = verify.field_scores(fields, y_vec)
-                add(label, day, "field", "es", es)
-                add(label, day, "field", "ee", ee)
-                if ds_value is None:
-                    ds_value = verify.ds_from_sample(fields, y_vec)
-                add(label, day, "field", "ds", ds_value)
-                in_region = np.array([sid in region_ids for sid in sample.station_order])
-                if in_region.any():
-                    minima = verify.composite_minimum(sample, np.array(sample.station_order)[in_region])
-                    obs_min = float(y_vec[in_region].min())
-                    if minima.size >= 100:
-                        mc = verify.crps_sample(minima[:half], minima[half: 2 * half], obs_min)
-                    else:
-                        mc = verify.crps_ensemble(minima, obs_min)
-                    add(label, day, "region", "min_crps", mc)
-                    add(label, day, "region", "min_bias", float(minima.mean()) - obs_min)
-                    for x in cfg.thresholds:
-                        add(label, day, "region", f"bs@{x:g}",
-                            verify.brier_score(verify.threshold_prob(minima, x), obs_min, x))
-                k = min(BAND_DEPTH_FIELDS, fields.shape[0])
-                if k >= 2:
-                    bd_rng = seeded_rng(cfg.seed, f"verify/banddepth/{label}/{day}")
-                    vecs = np.vstack([y_vec[None, :], fields[:k]])
-                    bd_pool[label].append(verify.band_depth_rank(vecs, bd_rng, 0))
-
-            raw_active = obs_ok & np.isfinite(fc).any(axis=1)
-            if raw_active.sum() >= 2:
-                ids = tuple(sid for s, sid in enumerate(data.stations.ids) if raw_active[s])
-                sample = ForecastFieldSample(ids, impute(fc[raw_active])[0].T, "raw")  # (M, n_active)
-                score_fields("raw", sample, obs[raw_active], None)
-
+            rows, bd = score_fields("raw", impute(day.members)[0].T, None, day, cfg)
+            table.add_rows(date, "raw", rows)
+            band_depth["raw"] += bd
             for method, spatial_mode in cfg.combos:
-                label = combo_label(method, spatial_mode)
                 if method not in fits:
                     continue
-                rows, law = preds[method]
-                if rows.sum() < 2:
-                    continue
-                act_set = StationSet(data.stations[s] for s in np.flatnonzero(rows))
-                y_vec = obs[rows]
-                rng = seeded_rng(cfg.seed, f"sample/{label}/{day}")
+                label = combo_label(method, spatial_mode)
                 try:
-                    spatial = fit_spatial(spatial_mode, method, fits[method], data, window)
-                    sample, moments = draw_fields(
-                        spatial_mode, law, fc[rows], act_set,
-                        cfg.n_field_samples, rng, seeded_rng(cfg.seed, f"ties/{day}"), spatial,
-                    )
-                    ds_val = None if moments is None else verify.dawid_sebastiani(*moments(), y_vec)
+                    spatial, sample, ds = draw_combo(method, spatial_mode, fits[method], laws[method], data, day, cfg)
                 except _DAY_FAILURES as exc:
-                    log.warning("day %s: %s sampling failed: %s", day, label, exc)
+                    log.warning("day %s: %s sampling failed: %s", date, label, exc)
                     n_warnings += 1
-                    failed[label].append(day)
+                    failed[label].append(date)
                     continue
-                score_fields(label, sample, y_vec, ds_val)
+                rows, bd = score_fields(label, sample.fields, ds, day, cfg)
+                table.add_rows(date, label, rows)
+                band_depth[label] += bd
                 pdir = out / "params" / _safe(label)
                 pdir.mkdir(parents=True, exist_ok=True)
-                write_params(pdir / f"{day}.json", method, fits[method], window, spatial)
+                write_params(pdir / f"{date}.json", method, fits[method], window, spatial)
 
     n_warnings += len(caught)
-    for w in caught:
-        log.debug("captured warning: %s", w.message)
+    for message, count in Counter(f"{w.category.__name__}: {w.message}" for w in caught).items():
+        log.info("%d x %s", count, message)
 
-    # reliability indices: per-station histograms averaged over stations
-    for method in methods:
-        ri_vals = [
-            verify.reliability_index(verify.pit_histogram(v, n_bins=M + 1))
-            for v in pit_station[method]
-            if v
-        ]
-        if ri_vals:
-            acc[method].setdefault("ri", []).extend(ri_vals)
-    raw_ri = [
-        verify.reliability_index(verify.rank_histogram(v, M + 1)) for v in rank_station if v
-    ]
-    if raw_ri:
-        acc["raw"].setdefault("ri", []).extend(raw_ri)
+    means: dict = {lab: {} for lab in all_labels}
+    for r in table.rows:
+        means[r.method].setdefault(r.score, []).append(r.value)
+    # reliability indices: per-station histograms with M + 1 bins, averaged over stations
+    for lab, panel in {"raw": ranks, **pits}.items():
+        histogram = verify.rank_histogram if lab == "raw" else verify.pit_histogram
+        ri = [verify.reliability_index(histogram(col[np.isfinite(col)], data.members + 1))
+              for col in panel.T if np.isfinite(col).any()]
+        if ri:
+            means[lab]["ri"] = ri
 
     summary = {
         "window_length": cfg.window_length,
@@ -506,7 +488,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "n_warnings": n_warnings,
         "failed_days": {lab: sorted(set(days)) for lab, days in failed.items() if days},
         "methods": {
-            lab: {score: float(np.mean(vals)) for score, vals in sorted(acc[lab].items())}
+            lab: {score: float(np.mean(vals)) for score, vals in sorted(means[lab].items())}
             for lab in all_labels
         },
     }
@@ -515,19 +497,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for method in methods:
-        if pit_pool[method]:
-            verify.histogram_to_csv(
-                verify.pit_histogram(pit_pool[method]), out / f"pit_{_safe(method)}.csv"
-            )
-    if rank_pool:
-        verify.histogram_to_csv(verify.rank_histogram(rank_pool, M + 1), out / "rank_raw.csv")
-    for lab, ranks in bd_pool.items():
-        if ranks:
-            verify.histogram_to_csv(
-                verify.rank_histogram(ranks, BAND_DEPTH_FIELDS + 1),
-                out / f"banddepth_{_safe(lab)}.csv",
-            )
+    histograms = {f"pit_{_safe(m)}.csv": verify.pit_histogram(p[np.isfinite(p)]) for m, p in pits.items()}
+    histograms["rank_raw.csv"] = verify.rank_histogram(ranks[np.isfinite(ranks)], data.members + 1)
+    for lab, bd_ranks in band_depth.items():
+        histograms[f"banddepth_{_safe(lab)}.csv"] = verify.rank_histogram(bd_ranks, BAND_DEPTH_FIELDS + 1)
+    for name, hist in histograms.items():
+        if hist.total:
+            verify.histogram_to_csv(hist, out / name)
     return ExperimentResult(summary=summary, table=table, n_warnings=n_warnings)
 
 

@@ -441,6 +441,10 @@ class ScoreTable:
     def add(self, date: str, unit: str, method: str, score: str, value: float) -> None:
         self.rows.append(ScoreRow(str(date), str(unit), str(method), str(score), float(value)))
 
+    def add_rows(self, date: str, method: str, rows: Iterable[tuple[str, str, float]]) -> None:
+        for unit, score, value in rows:
+            self.add(date, unit, method, score, value)
+
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -17,10 +18,19 @@ from enspost.experiment import (
     run_experiment,
     validate_combo,
 )
-from enspost.ingest import rolling_windows, save_dataset
+from enspost.ingest import load_data_dir, rolling_windows, save_dataset
 from enspost.ngr import _training_rows, fit_ngr_c, predict_ngr_c, predict_ngr_plus
 from enspost.synth import default_spec, generate
-from enspost.verify import ScoreTable, ds_from_sample, mae_rmse
+from enspost.verify import (
+    ScoreTable,
+    ds_from_sample,
+    mae_rmse,
+    pit,
+    pit_histogram,
+    rank_histogram,
+    reliability_index,
+    verification_rank,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +217,107 @@ class TestRunExperiment:
         monkeypatch.setattr(exp, where, broken)
         with pytest.raises(TypeError, match="contrived programming error"):
             run_experiment(tiny_config(data_dir, tmp_path / "t", combos=(combo,)))
+
+    def test_numerical_sampling_failure_costs_one_combo_day(self, data_dir, tmp_path, monkeypatch):
+        import enspost.experiment as exp
+
+        real = exp.sample_fields
+        calls = []
+
+        def flaky(*args, **kw):
+            calls.append(None)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("contrived factorization failure")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(exp, "sample_fields", flaky)
+        out = tmp_path / "s"
+        result = run_experiment(tiny_config(data_dir, out, combos=(("ngr+", "none"), ("ngr+", "grf"))))
+        days = [w.target_day for w in rolling_windows(load_data_dir(data_dir), 14)]
+        bad_day = days[1]
+        assert result.summary["failed_days"] == {"ngr+/grf": [bad_day]}
+        assert not (out / "params" / "ngr+_grf" / f"{bad_day}.json").exists()
+        assert sorted(p.stem for p in (out / "params" / "ngr+_grf").iterdir()) == [d for d in days if d != bad_day]
+        assert [r.date for r in result.table.rows if r.method == "ngr+" and r.score == "crps"] == days
+        assert result.n_warnings >= 1
+
+    def test_histograms_and_reliability_on_gapped_data(self, tmp_path):
+        data = generate(default_spec(6, n_stations=8, n_days=18, n_members=5))
+        fc = np.array(data.forecasts)
+        obs = np.array(data.observations)
+        fc[14, 1, 0] = np.nan
+        fc[15:, 3, [1, 2]] = np.nan
+        fc[16, 4, 1:] = np.nan  # one member left
+        fc[17, 6, :] = np.nan  # no member
+        obs[15, 2] = np.nan
+        obs[17, 0] = np.nan
+        data = EnsembleDataset(data.stations, data.days, fc, obs)
+        root = tmp_path / "data"
+        root.mkdir()
+        save_dataset(data, root / "stations.csv", root / "forecasts.csv", root / "observations.csv")
+        out = tmp_path / "out"
+        cfg = tiny_config(root, out, combos=(("ngr+", "none"), ("bma", "ecc")))
+        result = run_experiment(cfg)
+        M = data.members
+        windows = rolling_windows(data, cfg.window_length)
+        targets = [data.day_index(w.target_day) for w in windows]
+        n_members = np.isfinite(fc[targets]).sum(axis=2)
+        has_obs = np.isfinite(obs[targets])
+
+        def counts(name):
+            with open(out / name) as fh:
+                return [int(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+
+        assert sum(counts("pit_ngr+.csv")) == sum(counts("pit_bma.csv")) == int((has_obs & (n_members > 0)).sum())
+        ranked = has_obs & (n_members >= 2)
+        assert len(counts("rank_raw.csv")) == M + 1
+        assert sum(counts("rank_raw.csv")) == int(ranked.sum())
+        for method in ("ngr+", "bma"):
+            pits = [[] for _ in range(data.n_stations)]
+            prev = None
+            for window, t in zip(windows, targets):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    params = prev = METHODS[method].fit(data, window, prev)
+                rows = np.isfinite(obs[t]) & np.isfinite(fc[t]).any(axis=1)
+                ids = np.array(data.stations.ids)[rows]
+                law = METHODS[method].predictor(params, data.stations)(ids, fc[t][rows])
+                for s, v in zip(np.flatnonzero(rows), pit(law, obs[t][rows])):
+                    pits[s].append(v)
+            ri = np.mean([reliability_index(pit_histogram(v, M + 1)) for v in pits if v])
+            assert result.summary["methods"][method]["ri"] == ri
+        ranks = [[] for _ in range(data.n_stations)]
+        for window, t, ok in zip(windows, targets, ranked):
+            rng = seeded_rng(cfg.seed, f"verify/rank/{window.target_day}")
+            for s in np.flatnonzero(ok):
+                members = fc[t, s][np.isfinite(fc[t, s])]
+                ranks[s].append(verification_rank(members, obs[t, s], rng))
+        ri = np.mean([reliability_index(rank_histogram(v, M + 1)) for v in ranks if v])
+        assert result.summary["methods"]["raw"]["ri"] == ri
+
+    def test_captured_warnings_logged_once_per_message(self, data_dir, tmp_path, monkeypatch, caplog):
+        import enspost.experiment as exp
+
+        real = exp.bma_mod.fit_bma
+        days = [w.target_day for w in rolling_windows(load_data_dir(data_dir), 14)]
+
+        def noisy(data, window, **kw):
+            warnings.warn("contrived daily warning")
+            if window.target_day == days[2]:
+                warnings.warn("contrived one-off warning", RuntimeWarning)
+            return real(data, window, **kw)
+
+        monkeypatch.setattr(exp.bma_mod, "fit_bma", noisy)
+        with caplog.at_level(logging.INFO, logger="enspost.experiment"):
+            result = run_experiment(tiny_config(data_dir, tmp_path / "w", combos=(("bma", "none"),)))
+        logged = [r for r in caplog.records if r.name == "enspost.experiment"]
+        assert all(r.levelno == logging.INFO for r in logged)
+        messages = [r.getMessage() for r in logged]
+        assert messages.count(f"{len(days)} x UserWarning: contrived daily warning") == 1
+        assert messages.count("1 x RuntimeWarning: contrived one-off warning") == 1
+        assert len([m for m in messages if "contrived" in m]) == 2
+        # every captured warning is in exactly one line's count
+        assert sum(int(m.split(" x ", 1)[0]) for m in messages) == result.n_warnings
 
     def test_bma_scores_equal_per_station_quantiles(self, tmp_path):
         # blanked members give mixtures of 3, 4 and 5 components on one day,
