@@ -144,8 +144,7 @@ def load_fields_csv(path) -> ForecastFieldSample:
         raise LoadError(f"{path}: no field rows")
     order = tuple(sid for sid, _ in per_sample[min(per_sample)])
     fields = np.empty((len(per_sample), len(order)))
-    for k, idx in enumerate(sorted(per_sample)):
-        rows = per_sample[idx]
+    for k, (idx, rows) in enumerate(sorted(per_sample.items())):
         if tuple(sid for sid, _ in rows) != order:
             raise LoadError(f"{path}: sample {idx} has a different station order")
         fields[k] = [v for _, v in rows]

@@ -242,7 +242,8 @@ def ds_from_sample(fields, y) -> float:
     if fields.shape[0] < 2:
         raise ValueError("need at least two fields to estimate a covariance")
     mu = fields.mean(axis=0)
-    cov = np.atleast_2d(np.cov(fields, rowvar=False, ddof=1))
+    xc = fields - mu
+    cov = np.einsum("ki,kj->ij", xc, xc) / (fields.shape[0] - 1)  # no BLAS: np.cov's bits vary with its thread count
     return dawid_sebastiani(mu, cov, y, diag_jitter=SAMPLE_COV_JITTER)
 
 

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,35 @@ class TestDawidSebastiani:
         assert ds_from_sample(fields, y) == pytest.approx(
             dawid_sebastiani(mu, cov, y), abs=1e-10
         )
+
+    def test_sample_version_on_a_large_warm_sample(self):
+        # the size a threaded np.cov takes over: 2000 fields near 15 C over 60 stations
+        rng = seeded_rng(8, "ds")
+        fields = 15.0 + rng.normal(size=(2000, 60)) @ rng.normal(size=(60, 60)) / 8.0
+        y = fields[:2].mean(axis=0)
+        cov = np.cov(fields, rowvar=False) + 1e-5 * np.eye(60)
+        assert ds_from_sample(fields, y) == pytest.approx(dawid_sebastiani(fields.mean(axis=0), cov, y), rel=1e-10)
+
+    def test_sample_version_does_not_depend_on_blas_threads(self):
+        # np.cov hands 2000 x 100 fields to a threaded BLAS product whose bits follow the thread count;
+        # the fields are random walks along the stations, drawn with no BLAS call of their own
+        code = ("import numpy as np; from enspost.core import seeded_rng; from enspost.verify import ds_from_sample; "
+                "f = 15.0 + np.cumsum(seeded_rng(9, 'ds').normal(size=(2000, 100)), axis=1); "
+                "print(repr(ds_from_sample(f, f[0])))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        got = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            got.add(run.stdout)
+        assert len(got) == 1, got
+
+    def test_sample_version_of_one_station(self):
+        fields = np.array([[1.0], [2.0], [4.0]])
+        var = 7.0 / 3.0 + 1e-5
+        expected = np.log(var) + (3.0 - 7.0 / 3.0) ** 2 / var
+        assert ds_from_sample(fields, np.array([3.0])) == pytest.approx(expected, abs=1e-12)
 
     def test_sample_version_handles_rank_deficiency(self):
         # 5 samples in 8 dimensions: covariance rank <= 4, jitter saves it
