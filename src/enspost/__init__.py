@@ -27,6 +27,7 @@ from .ngr import (
     NgrCParams,
     NgrPlusParams,
     crps_gaussian,
+    crps_mixture,
     fit_ngr_c,
     fit_ngr_plus,
     predict_ngr_c,
@@ -65,6 +66,7 @@ __all__ = [
     "build_correlation_matrix",
     "build_spatial_ngr",
     "crps_gaussian",
+    "crps_mixture",
     "data_paths",
     "ecc_quantiles",
     "ecc_reorder",

@@ -176,8 +176,8 @@ def cmd_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     kv = read_key_values(args.config) if args.config else {}
-    flags = {"data": args.data, "out": args.out, "window": args.window, "samples": args.samples,
-             "fields": args.fields, "region": args.region, "seed": args.seed}
+    flags = {"data": args.data, "out": args.out, "window": args.window, "fields": args.fields,
+             "region": args.region, "seed": args.seed}
     overrides = {key: str(value) for key, value in flags.items() if value is not None}
     if args.method is not None:
         spatial = args.spatial or "none"
@@ -260,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ngr+", "ngrc", "bma"), default=None)
     p.add_argument("--spatial", choices=("none", "grf", "ecc", "spatial-bma"), default=None)
     p.add_argument("--window", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="paired draws per univariate mixture score")
     p.add_argument("--fields", type=int, default=None, help="sampled fields per day")
     p.add_argument("--threshold", type=float, action="append", default=[],
                    help="composite-minimum Brier threshold (repeatable)")

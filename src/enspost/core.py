@@ -356,7 +356,11 @@ class MixturePredictive:
         return row_dot(ndtr(z), self.weights)
 
     def quantile(self, p, tol: float = 1e-10):
-        """Quantiles at a scalar or array of levels, by bisection (see mixture_quantiles)."""
+        """Quantiles at a scalar or array of levels, by safeguarded Newton steps (see mixture_quantiles).
+
+        Each quantile stops once its Newton step is at most tol / 4 or its
+        bracket at most tol wide.
+        """
         p_arr = np.asarray(p, dtype=float)
         w, m, v = (np.repeat(np.atleast_2d(a), p_arr.size, axis=0) for a in (self.weights, self.means, self.variances))
         out = mixture_quantiles(w, m, np.sqrt(v), np.tile(p_arr.ravel(), np.atleast_2d(self.weights).shape[0]), tol)
@@ -370,20 +374,24 @@ class MixturePredictive:
         out = np.empty((w.shape[0], n))
         for i in range(w.shape[0]):  # row after row, as each row's own law draws
             comp = rng.choice(w.shape[1], size=n, p=w[i] / w[i].sum())
-            out[i] = m[i, comp] + np.sqrt(v[i, comp]) * rng.standard_normal(n)
+            out[i] = m[i, comp] + np.sqrt(v[i])[comp] * rng.standard_normal(n)
         return out[0] if self.weights.ndim == 1 else out.T
 
 
 def mixture_quantiles(weights, means, sd, p, tol: float = 1e-10) -> np.ndarray:
-    """Row-wise Gaussian-mixture quantiles by bracketed bisection.
+    """Row-wise Gaussian-mixture quantiles by safeguarded Newton steps.
 
     weights and means are (n, K) component arrays, sd broadcasts to (n, K),
     and p holds the (n,) levels. Each row starts from the bracket
-    [min(means - 12 sd), max(means + 12 sd)], widens it by its own width
-    until it holds p, then halves it until it is no wider than tol. Rows stop
-    on their own, and each row's CDF is one dot product of its normal CDFs
-    with its weights, so a row's quantile does not depend on the rest of the
-    batch.
+    [min(means - 12 sd), max(means + 12 sd)] and widens it by its own width
+    until it holds p. From the level's quantile of the moment-matched normal
+    (the bracket's midpoint if that lies outside) it then takes Newton steps
+    on F(x) - p, with F and its density from one pass over the components;
+    each iterate also tightens the bracket, and a step that leaves the
+    bracket is replaced by the bracket's midpoint. A row stops once its step
+    is at most tol / 4 or its bracket at most tol wide. Rows stop on their
+    own, and each row's sums are dot products with its own weights, so a
+    row's quantile does not depend on the rest of the batch.
     """
     w = np.asarray(weights, dtype=float)
     m = np.asarray(means, dtype=float)
@@ -416,14 +424,27 @@ def mixture_quantiles(weights, means, sd, p, tol: float = 1e-10) -> np.ndarray:
         if np.isinf(hi[rows]).any():  # weights summing to just under 1 never reach p
             raise ValueError("quantile level exceeds the mixture's total weight")
         rows = rows[cdf(rows, hi[rows]) < p[rows]]
-    rows = np.flatnonzero(hi - lo > tol)
+
+    density_w = w * _INV_SQRT_2PI / sd  # the weights of the components' standard normal densities
+    mean = row_dot(w, m)
+    x = mean + np.sqrt(np.maximum(row_dot(w, sd * sd + m * m) - mean * mean, 0.0)) * ndtri(p)
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    rows = np.arange(p.size)
     while rows.size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        below = cdf(rows, mid) < p[rows]
-        lo[rows[below]] = mid[below]
-        hi[rows[~below]] = mid[~below]
-        rows = rows[hi[rows] - lo[rows] > tol]
-    return 0.5 * (lo + hi)
+        z = (x[rows, None] - m[rows]) / sd[rows]
+        gap = row_dot(ndtr(z), w[rows]) - p[rows]  # F(x) - p
+        density = row_dot(np.exp(-0.5 * z * z), density_w[rows])
+        lo[rows] = np.where(gap < 0.0, x[rows], lo[rows])
+        hi[rows] = np.where(gap < 0.0, hi[rows], x[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a flat tail's step is caught below
+            step = gap / density
+        new = x[rows] - step
+        done = np.abs(step) <= 0.25 * tol  # before the bracket test: a converged iterate sits on a bracket end
+        outside = ~done & ~((lo[rows] < new) & (new < hi[rows]))
+        new[outside] = 0.5 * (lo[rows[outside]] + hi[rows[outside]])
+        x[rows] = new
+        rows = rows[~done & (hi[rows] - lo[rows] > tol)]
+    return x
 
 
 @dataclass(frozen=True)

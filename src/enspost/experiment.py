@@ -160,7 +160,6 @@ class ExperimentConfig:
     out_dir: str
     combos: tuple[tuple[str, str], ...] = (("ngr+", "none"),)
     window_length: int = 25
-    n_pair_samples: int = 5000
     n_field_samples: int = 10000
     thresholds: tuple[float, ...] = ()
     region: tuple[str, ...] = ()
@@ -177,8 +176,8 @@ class ExperimentConfig:
             raise ValueError("duplicate combos")
         if self.window_length < 1:
             raise ValueError("window_length must be positive")
-        if self.n_pair_samples < 2 or self.n_field_samples < 2:
-            raise ValueError("sample counts must be at least 2")
+        if self.n_field_samples < 2:
+            raise ValueError("n_field_samples must be at least 2")
         if not 0.0 < self.level < 1.0:
             raise ValueError("interval level must lie strictly between 0 and 1")
 
@@ -189,7 +188,6 @@ _CONFIG_KEYS = {
     "out": ("out_dir", str),
     "combos": ("combos", parse_combos),
     "window": ("window_length", int),
-    "samples": ("n_pair_samples", int),
     "fields": ("n_field_samples", int),
     "thresholds": ("thresholds", lambda text: tuple(float(tok) for tok in _items(text))),
     "region": ("region", lambda text: tuple(_items(text))),
@@ -340,17 +338,12 @@ def raw_scores(obs: np.ndarray, fc: np.ndarray, rng) -> tuple[list, np.ndarray]:
     return _univariate_rows(crps, medians, means, obs[np.isfinite(ranks)], covered, width), ranks
 
 
-def marginal_scores(method: str, law, day: ActiveDay, cfg: ExperimentConfig) -> tuple[list, np.ndarray]:
+def marginal_scores(law, day: ActiveDay, cfg: ExperimentConfig) -> tuple[list, np.ndarray]:
     """A method's rows for its batch law on the day's active rows, and their PITs."""
-    y, n_pairs = day.y, cfg.n_pair_samples
+    y = day.y
     alpha = 0.5 * (1.0 - cfg.level)
     lo, med, hi = law.quantile([alpha, 0.5, 1.0 - alpha]).T
-    if isinstance(law, GaussianPredictive):
-        crps = ngr_mod.crps_gaussian(law, y)
-    else:
-        rng = seeded_rng(cfg.seed, f"score/crps/{method}/{day.window.target_day}")
-        draws = law.sample(rng, 2 * n_pairs).T  # one station's draws a row
-        crps = verify.crps_sample(draws[:, :n_pairs], draws[:, n_pairs:], y)
+    crps = (ngr_mod.crps_gaussian if isinstance(law, GaussianPredictive) else ngr_mod.crps_mixture)(law, y)
     return _univariate_rows(crps, med, law.mean, y, (lo <= y) & (y <= hi), hi - lo), verify.pit(law, y)
 
 
@@ -437,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 continue
             laws = {m: METHODS[m].predictor(fits[m], data.stations)(act_set.ids, day.members) for m in fits}
             for method, law in laws.items():
-                rows, pits[method][k, active] = marginal_scores(method, law, day, cfg)
+                rows, pits[method][k, active] = marginal_scores(law, day, cfg)
                 table.add_rows(date, method, rows)
             if active.sum() < 2:
                 continue

@@ -12,7 +12,8 @@ Two variants share one CRPS-minimization core:
 
 Variance coefficients always enter squared (c = c_raw^2, d = d_raw^2), and the
 fits minimize the mean closed-form CRPS over the training window by
-quasi-Newton descent with analytic gradients.
+quasi-Newton descent with analytic gradients. The closed-form CRPS of a
+Gaussian mixture, which scores the bma method, sits beside the Gaussian one.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     VARIANCE_FLOOR,
     EnsembleDataset,
     GaussianPredictive,
+    MixturePredictive,
     Station,
     StationSet,
     TrainingWindow,
@@ -44,21 +46,49 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
-# closed-form CRPS for Gaussian predictives
+# closed-form CRPS for Gaussian and Gaussian-mixture predictives
+
+
+def _abs_mean_std(z):
+    """E|z + Z| for a standard normal Z, vectorized."""
+    return z * (2.0 * ndtr(z) - 1.0) + 2.0 * gaussian_pdf(z)
 
 
 def _crps_std(z):
     """CRPS of a standard normal at z, vectorized."""
-    return z * (2.0 * ndtr(z) - 1.0) + 2.0 * gaussian_pdf(z) - _INV_SQRT_PI
+    return _abs_mean_std(z) - _INV_SQRT_PI
+
+
+def _finite_obs(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"non-finite observation {y!r}")
+    return y
 
 
 def crps_gaussian(dist: GaussianPredictive, y):
     """Closed-form continuous ranked probability score, in degC; one per row of a batch law."""
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError(f"non-finite observation {y!r}")
+    y = _finite_obs(y)
     sd = dist.sd
     return _unbox(sd * _crps_std((y - dist.mean) / sd))
+
+
+def crps_mixture(dist: MixturePredictive, y):
+    """Closed-form CRPS of a Gaussian mixture, in degC; one per row of a batch law.
+
+    E|X - y| - E|X - X'| / 2 with E|N(mu, s^2)| = s * _abs_mean_std(mu / s)
+    (Grimit, Gneiting, Berrocal & Johnson 2006): a weighted sum over the
+    components for the first term and over component pairs, with variance
+    sigma_m^2 + sigma_k^2, for the second. The sums are row dot products, so
+    each row of a batch law gets its own law's bits.
+    """
+    y = _finite_obs(y)
+    w, m, v = dist.weights, dist.means, dist.variances
+    sd = np.sqrt(v)
+    to_obs = row_dot(w, sd * _abs_mean_std((y[..., None] - m) / sd))
+    pair_sd = np.sqrt(v[..., :, None] + v[..., None, :])
+    pairs = pair_sd * _abs_mean_std((m[..., :, None] - m[..., None, :]) / pair_sd)
+    return _unbox(to_obs - 0.5 * row_dot(w, row_dot(pairs, w[..., None, :])))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from enspost.core import VARIANCE_FLOOR, EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
 from enspost.ingest import LoadError
@@ -63,6 +63,48 @@ def scalar_bisection(weights, means, variances, p, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scalar_newton(weights, means, variances, p, tol=1e-10):
+    """The one-level safeguarded Newton quantile that the batched routine must reproduce bit for bit.
+
+    Same bracket as scalar_bisection; from the moment-matched normal's
+    quantile (or the bracket's midpoint), Newton steps on F(x) - p that
+    tighten the bracket, with the midpoint in place of a step that leaves it,
+    until the step is at most tol / 4 or the bracket at most tol wide.
+    """
+    sd = np.sqrt(variances)
+
+    def cdf(x):
+        return ndtr((x - means) / sd) @ weights
+
+    lo = float(np.min(means - 12.0 * sd))
+    hi = float(np.max(means + 12.0 * sd))
+    while cdf(lo) > p:
+        lo -= (hi - lo)
+    while cdf(hi) < p:
+        hi += (hi - lo)
+    density_w = weights * (1.0 / math.sqrt(2.0 * math.pi)) / sd
+    mean = weights @ means
+    x = mean + math.sqrt(max(weights @ (sd * sd + means * means) - mean * mean, 0.0)) * ndtri(p)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    while True:
+        z = (x - means) / sd
+        gap = ndtr(z) @ weights - p
+        if gap < 0.0:
+            lo = x
+        else:
+            hi = x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = gap / (np.exp(-0.5 * z * z) @ density_w)
+        x = x - step
+        if abs(step) <= 0.25 * tol:
+            return x
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return x
 
 
 def allocating_energy_score(x, x_prime, y):

@@ -516,7 +516,6 @@ def test_determinism_and_runtime(tmp_path: Path):
             data_dir=str(small_dir),
             out_dir=str(tmp_path / run),
             combos=ALL_COMBOS,
-            n_pair_samples=400,
             n_field_samples=400,
             thresholds=(16.0,),
             seed=3,

@@ -7,7 +7,8 @@ import pytest
 from scipy.special import logsumexp
 
 from enspost import bma as bma_mod
-from enspost.core import EnsembleDataset, MixturePredictive, mixture_quantiles, seeded_rng
+import enspost.core as core_mod
+from enspost.core import EnsembleDataset, GaussianPredictive, MixturePredictive, mixture_quantiles, seeded_rng
 from enspost.bma import (
     BmaParams,
     _logsumexp_rows,
@@ -18,15 +19,18 @@ from enspost.bma import (
     predict_bma,
     sample_spatial_bma,
 )
+from enspost.ecc import ecc_quantiles
 from enspost.ingest import rolling_windows
+from enspost.ngr import crps_gaussian, crps_mixture
 from enspost.spatial import build_correlation_matrix, cholesky_with_jitter
-from enspost.synth import BmaTruth, SynthSpec, default_spec, generate
+from enspost.synth import BmaTruth, SynthSpec, brute_force_crps, default_spec, generate
+from enspost.verify import crps_sample
 from tests.conftest import (
     allocating_em,
     assert_batch_matches_rows,
     last_window,
     make_dataset,
-    scalar_bisection,
+    scalar_newton,
 )
 
 
@@ -172,7 +176,7 @@ class TestMixtureRows:
         variances = np.full(2, 1.3**2)
         p = np.array([0.2, 0.5, 0.9])
         got = mixture_quantiles(np.tile(w, (3, 1)), means, np.sqrt(variances), p)
-        assert got.tolist() == [scalar_bisection(w, means[i], variances, p[i]) for i in range(3)]
+        assert got.tolist() == [scalar_newton(w, means[i], variances, p[i]) for i in range(3)]
 
     def test_quantile_rows_invert_cdf_rows(self):
         w = np.array([0.5, 0.5])
@@ -182,6 +186,72 @@ class TestMixtureRows:
             q = mixture_quantiles(np.tile(w, (2, 1)), means, sigma, np.full(2, p))
             back = [MixturePredictive(w, means[i], np.full(2, sigma**2)).cdf(q[i]) for i in range(2)]
             np.testing.assert_allclose(back, p, atol=1e-9)
+
+
+def random_kernel_mixture(rng, k, n=None):
+    """A mixture (or n of them) with unequal component variances and, from k = 3, a dropped member."""
+    shape = (k,) if n is None else (n, k)
+    w = rng.dirichlet(np.ones(k), size=n)
+    if k > 2:
+        w[..., 1] = 0.0
+        w /= w.sum(axis=-1, keepdims=True)
+    return MixturePredictive(w, rng.normal(15.0, 3.0, shape), rng.uniform(0.2, 4.0, shape) ** 2)
+
+
+class TestMixtureCrps:
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    def test_matches_quadrature(self, k):
+        rng = seeded_rng(k, "crps-mixture")
+        for _ in range(5):
+            law = random_kernel_mixture(rng, k)
+            y = float(rng.normal(15.0, 5.0))
+            step = float(np.sqrt(law.variances).min()) / 1000.0
+            assert crps_mixture(law, y) == pytest.approx(brute_force_crps(law, y, grid_step=step), abs=1e-6)
+
+    def test_one_component_is_gaussian(self):
+        for mean, var, y in ((0.0, 1.0, 0.0), (15.0, 4.0, 13.2), (-2.0, 0.25, 1.0), (3.0, 1e-8, 3.0)):
+            got = crps_mixture(MixturePredictive((1.0,), (mean,), (var,)), y)
+            assert isinstance(got, float)
+            assert got == pytest.approx(crps_gaussian(GaussianPredictive(mean, var), y), rel=1e-12, abs=1e-15)
+
+    def test_batch_rows_equal_scalar_laws(self):
+        rng = seeded_rng(0, "crps-batch")
+        batch = random_kernel_mixture(rng, 20, n=30)
+        y = rng.normal(15.0, 5.0, 30)
+        laws = [MixturePredictive(*row) for row in zip(batch.weights, batch.means, batch.variances)]
+        assert crps_mixture(batch, y).tolist() == [crps_mixture(law, yi) for law, yi in zip(laws, y)]
+
+    def test_sampled_crps_within_mc_error(self):
+        # acceptance criterion 2's studentized check, on mixtures
+        rng = seeded_rng(1, "crps-mixture-mc")
+        n_draws = 4000
+        z = []
+        for _ in range(100):
+            law = random_kernel_mixture(rng, int(rng.integers(1, 21)))
+            y = float(law.mean + law.sd * rng.uniform(-3.0, 3.0))
+            x, x_prime = law.sample(rng, n_draws), law.sample(rng, n_draws)
+            kernel = np.abs(x - y) - 0.5 * np.abs(x - x_prime)
+            z.append((crps_sample(x, x_prime, y) - crps_mixture(law, y)) / (kernel.std(ddof=1) / np.sqrt(n_draws)))
+        assert np.abs(z).max() < 3.0
+        assert 0.7 < float(np.mean(np.square(z))) < 1.4
+
+    def test_non_finite_observation_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            crps_mixture(MixturePredictive((0.5, 0.5), (0.0, 1.0), 1.0), float("nan"))
+
+
+def test_ecc_quantile_table_takes_few_newton_steps(monkeypatch):
+    # 100 stations x 20 ECC levels of a fitted law: besides the two bracket
+    # checks, each pass over the components is one Newton step
+    data = generate(default_spec(1, n_days=26))
+    params = fit_bma(data, last_window(data))
+    law = predict_bma(params, data.forecasts[-1])
+    passes = []
+    real_ndtr = core_mod.ndtr
+    monkeypatch.setattr(core_mod, "ndtr", lambda z: passes.append(1) or real_ndtr(z))
+    q = ecc_quantiles(law, 20)
+    assert q.shape == (100, 20)
+    assert len(passes) - 2 <= 8
 
 
 class TestLogSumExpRows:

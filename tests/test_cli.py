@@ -188,7 +188,7 @@ class TestExperimentCommand:
         out = tmp_path / "run"
         cfg.write_text(
             f"data = {workspace / 'data'}\nout = {out}\n"
-            "combos = ngr+\nwindow = 14\nfields = 120\nsamples = 200\nseed = 5\n"
+            "combos = ngr+\nwindow = 14\nfields = 120\nseed = 5\n"
         )
         rc = main(["experiment", "--config", str(cfg), "--method", "ngr+", "--spatial", "grf",
                    "--threshold", "15"])
@@ -200,7 +200,7 @@ class TestExperimentCommand:
     def test_flags_only(self, workspace, tmp_path):
         out = tmp_path / "run2"
         rc = main(["experiment", "--data", str(workspace / "data"), "--out", str(out),
-                   "--method", "bma", "--window", "14", "--fields", "100", "--samples", "150"])
+                   "--method", "bma", "--window", "14", "--fields", "100"])
         assert rc == 0
         assert (out / "pit_bma.csv").exists()
 

@@ -22,7 +22,7 @@ from enspost.core import (
     mixture_quantiles,
     seeded_rng,
 )
-from tests.conftest import assert_batch_matches_rows, make_dataset, make_stations, scalar_bisection
+from tests.conftest import assert_batch_matches_rows, make_dataset, make_stations, scalar_bisection, scalar_newton
 
 # Reference values computed with mpmath at 30 digits.
 Q75 = 0.67448975019608174
@@ -165,6 +165,20 @@ class TestMixturePredictive:
         assert x.mean() == pytest.approx(m.mean, abs=0.02)
         assert x.var() == pytest.approx(m.variance, rel=0.02)
 
+    def test_sample_bits_equal_per_draw_sqrt(self):
+        # each row's component sds are taken once, then indexed per draw
+        rng = seeded_rng(2, "mix-bits")
+        w = rng.dirichlet(np.ones(6), size=4)
+        w[1, 3] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        law = MixturePredictive(w, rng.normal(15.0, 3.0, (4, 6)), rng.uniform(0.1, 5.0, (4, 6)))
+        draws = law.sample(seeded_rng(0, "draws"), 500)
+        ref, want = seeded_rng(0, "draws"), []
+        for wi, mi, vi in zip(law.weights, law.means, law.variances):
+            comp = ref.choice(6, size=500, p=wi / wi.sum())
+            want.append(mi[comp] + np.sqrt(vi[comp]) * ref.standard_normal(500))
+        assert draws.T.tolist() == np.array(want).tolist()
+
 
 class TestBatchLaws:
     LEVELS = np.array([0.05, 0.5, 1 / 3, 0.95])
@@ -230,6 +244,8 @@ def random_mixtures(rng, n, k):
 
 
 class TestMixtureQuantilesExact:
+    # the batched routine reproduces scalar_newton bit for bit (row
+    # independence); scalar_bisection referees its accuracy
     LEVELS = np.array([1e-40, 0.3, 0.5, 0.95, 1.0 - 1e-9])
 
     @pytest.mark.parametrize("k", [1, 2, 5, 20, 33])
@@ -243,36 +259,51 @@ class TestMixtureQuantilesExact:
             np.sqrt(np.stack([d.variances for d in dists])),
             p,
         )
-        want = [scalar_bisection(d.weights, d.means, d.variances, q) for d, q in zip(dists, p)]
+        want = [scalar_newton(d.weights, d.means, d.variances, q) for d, q in zip(dists, p)]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 33])
+    def test_newton_agrees_with_bisection(self, k, tol=1e-10):
+        # near p = 1 the computed F is flat over a span of about ulp(p) / f(q),
+        # wider than tol, and either method may stop anywhere in it
+        rng = seeded_rng(k, "exact")
+        dists = random_mixtures(rng, 12, k)
+        p = np.concatenate([self.LEVELS, rng.uniform(0.001, 0.999, size=7)])
+        for d, q in zip(dists, p):
+            got = d.quantile(q, tol)
+            sd = np.sqrt(d.variances)
+            density = gaussian_pdf((got - d.means) / sd) / sd @ d.weights
+            flat_span = 4.0 * np.spacing(q) / density
+            assert abs(got - scalar_bisection(d.weights, d.means, d.variances, q, tol)) <= tol + flat_span
+            assert abs(d.cdf(got) - q) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 5, 20, 33])
     def test_method_equals_scalar_bisection(self, k):
         (d,) = random_mixtures(seeded_rng(k, "method"), 1, k)
-        want = [scalar_bisection(d.weights, d.means, d.variances, q) for q in self.LEVELS]
+        want = [scalar_newton(d.weights, d.means, d.variances, q) for q in self.LEVELS]
         assert [d.quantile(q) for q in self.LEVELS] == want
         assert isinstance(d.quantile(0.5), float)
         assert d.quantile(self.LEVELS).tolist() == want
         assert d.quantile(self.LEVELS.reshape(5, 1)).shape == (5, 1)
 
     def test_rows_stop_on_their_own(self):
-        # the wide row needs more halvings than the narrow one; stopping both
-        # on a shared test would move the narrow row's quantile
+        # the wide row needs more Newton steps than the narrow one; stopping
+        # both on a shared test would move the narrow row's quantile
         w = np.full((2, 2), 0.5)
         means = np.array([[0.0, 0.1], [0.0, 40.0]])
         got = mixture_quantiles(w, means, 0.5, np.array([0.3, 0.3]))
-        want = [scalar_bisection(w[i], means[i], np.full(2, 0.25), 0.3) for i in range(2)]
+        want = [scalar_newton(w[i], means[i], np.full(2, 0.25), 0.3) for i in range(2)]
         assert got.tolist() == want
 
     def test_bracket_expansion(self):
         d = MixturePredictive((0.5, 0.5), (0.0, 1.0), (1.0, 1.0))
         q = d.quantile(1e-40)
         assert q < float(np.min(d.means - 12.0))  # left the starting bracket
-        assert q == scalar_bisection(d.weights, d.means, d.variances, 1e-40)
+        assert q == scalar_newton(d.weights, d.means, d.variances, 1e-40)
 
     def test_batch_rows_with_dropped_members(self):
         # zero weights stand for dropped members; each row of a batch law's
-        # quantile table is its own scalar bisection
+        # quantile table is its own scalar Newton iteration
         rng = seeded_rng(3, "table")
         dists = random_mixtures(rng, 5, 5)
         w = np.stack([d.weights for d in dists])
@@ -284,7 +315,7 @@ class TestMixtureQuantilesExact:
         table = batch.quantile(levels)
         assert table.shape == (5, 5)
         for row, wi, mi, vi in zip(table, batch.weights, batch.means, batch.variances):
-            assert row.tolist() == [scalar_bisection(wi, mi, vi, q) for q in levels]
+            assert row.tolist() == [scalar_newton(wi, mi, vi, q) for q in levels]
 
     def test_batch_gaussian_quantile_rows(self):
         gauss = GaussianPredictive(np.array([2.0, -1.0, 2.0]), np.array([3.0, 0.5, 3.0]))

@@ -47,7 +47,6 @@ def tiny_config(data_dir, out_dir, **kw):
         out_dir=str(out_dir),
         combos=(("ngr+", "none"), ("ngr+", "grf"), ("bma", "ecc")),
         window_length=14,
-        n_pair_samples=200,
         n_field_samples=150,
         thresholds=(15.0,),
         seed=11,
@@ -101,6 +100,8 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_experiment_config({"data": "a", "out": "b", "wnidow": "25"})
+        with pytest.raises(ValueError, match="unknown config keys"):  # the mixture CRPS draws no samples
+            parse_experiment_config({"data": "a", "out": "b", "samples": "5000"})
 
     def test_overrides_win(self):
         cfg = parse_experiment_config(
