@@ -9,7 +9,6 @@ status is 0 only when the command ran without errors (warnings do not count).
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .core import ForecastFieldSample, StationSet, seeded_rng
+from .core import StationSet, seeded_rng
 from .experiment import (
     METHODS,
     draw_fields,
@@ -29,18 +28,21 @@ from .experiment import (
     validate_combo,
     write_params,
 )
-from .ingest import LoadError, data_paths, load_data_dir, read_key_values, rolling_windows, save_dataset
+from .ingest import (
+    LoadError,
+    data_paths,
+    load_data_dir,
+    load_fields_csv,
+    read_key_values,
+    rolling_windows,
+    save_dataset,
+    save_fields_csv,
+    write_csv,
+)
 from .spatial import build_correlation_matrix  # noqa: F401 (perfbench's traced-run test restores it by this name)
 from .synth import generate, parse_synth_spec
 
 log = logging.getLogger(__name__)
-
-FIELDS_HEADER = ("sample", "station_id", "value_c", "provenance")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
 
 def _window_for(data, day: str, window_length: int):
     for window in rolling_windows(data, window_length):
@@ -83,11 +85,8 @@ def cmd_predict(args) -> int:
     doc, method, params, _ = read_params(args.params)
     day = args.day or doc["target_day"]
     rows, law = predict_rows(method, params, data.stations, data.forecasts[data.day_index(day)])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("station_id", "mean", "sd"))
-        for sid, mean, sd in zip(np.array(data.stations.ids)[rows], law.mean.tolist(), law.sd.tolist()):
-            writer.writerow((sid, _fmt(mean), _fmt(sd)))
+    ids = [data.stations.ids[s] for s in np.flatnonzero(rows)]  # a numpy string array would drop a trailing "\0"
+    write_csv(args.out, ("station_id", "mean", "sd"), [ids], [law.mean, law.sd])
     print(f"wrote per-station predictive moments for {day} -> {args.out}")
     return 0
 
@@ -105,50 +104,9 @@ def cmd_sample(args) -> int:
         StationSet(data.stations[s] for s in np.flatnonzero(rows)), args.n,
         seeded_rng(args.seed, f"sample/{method}/{args.spatial}/{day}"), seeded_rng(args.seed, f"ties/{day}"), spatial,
     )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELDS_HEADER)
-        for i in range(sample.n_samples):
-            for j, sid in enumerate(sample.station_order):
-                writer.writerow((i + 1, sid, _fmt(sample.fields[i, j]), sample.provenance))
+    save_fields_csv(sample, args.out)
     print(f"wrote {sample.n_samples} fields ({sample.provenance}) for {day} -> {args.out}")
     return 0
-
-
-def load_fields_csv(path) -> ForecastFieldSample:
-    """Read a fields CSV back into a sample; inverse of cmd_sample's writer."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != FIELDS_HEADER:
-            raise LoadError(f"{path}: expected header {','.join(FIELDS_HEADER)}")
-        per_sample: dict = {}
-        provenance = None
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(FIELDS_HEADER):
-                raise LoadError(f"{path} line {reader.line_num}: expected {len(FIELDS_HEADER)} fields, got {len(row)}")
-            try:
-                idx, value = int(row[0]), float(row[2])
-            except ValueError:
-                raise LoadError(
-                    f"{path} line {reader.line_num}: bad sample number {row[0]!r} or value {row[2]!r}"
-                ) from None
-            per_sample.setdefault(idx, []).append((row[1], value))
-            if provenance is None:
-                provenance = row[3]
-            elif provenance != row[3]:
-                raise LoadError(f"{path}: mixed provenance values")
-    if not per_sample:
-        raise LoadError(f"{path}: no field rows")
-    order = tuple(sid for sid, _ in per_sample[min(per_sample)])
-    fields = np.empty((len(per_sample), len(order)))
-    for k, (idx, rows) in enumerate(sorted(per_sample.items())):
-        if tuple(sid for sid, _ in rows) != order:
-            raise LoadError(f"{path}: sample {idx} has a different station order")
-        fields[k] = [v for _, v in rows]
-    return ForecastFieldSample(order, fields, provenance)
 
 
 def cmd_verify(args) -> int:

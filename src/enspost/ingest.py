@@ -1,14 +1,21 @@
-"""Dataset ingestion: station/forecast/observation CSV files and rolling
-training windows.
+"""Dataset ingestion: station/forecast/observation CSV files, sampled-field
+CSV files and rolling training windows.
 
 CSV schemas
 -----------
-stations.csv      station_id,lon,lat,x_km,y_km      (lon/lat may be empty)
-forecasts.csv     date,station_id,member,value_c    (member is 1-based)
+stations.csv      station_id,lon,lat,x_km,y_km          (lon/lat may be empty)
+forecasts.csv     date,station_id,member,value_c        (member is 1-based)
 observations.csv  date,station_id,value_c
+fields.csv        sample,station_id,value_c,provenance  (sample is 1-based; written by `enspost sample`)
 
 Missing values are empty fields; absent rows mean the same thing. Duplicate
-keys are load errors that name the offending line.
+keys are load errors that name the offending line; in fields.csv, a station
+listed twice in one sample is an error that names the sample and station.
+
+write_csv writes these files and the `station_id,mean,sd` file of `enspost
+predict`: text cells are quoted as csv.writer quotes them, values are
+written with repr (empty for NaN), so a reload is exact, and rows end in
+\r\n as csv.writer writes them.
 
 A dataset directory holds the three files under those names. load_data_dir
 parses them once and keeps the parsed arrays in `.enspost-cache.npz` beside
@@ -22,6 +29,7 @@ import bisect
 import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import locale
@@ -36,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .core import EnsembleDataset, Station, StationSet, TrainingWindow
+from .core import EnsembleDataset, ForecastFieldSample, Station, StationSet, TrainingWindow
 
 log = logging.getLogger(__name__)
 
@@ -302,32 +310,104 @@ def load_data_dir(root) -> EnsembleDataset:
     return data
 
 
-def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return repr(float(value))
+FIELDS_HEADER = ("sample", "station_id", "value_c", "provenance")
+_CHUNK_ROWS = 4096  # rows joined into one string per write
+
+
+def _text_cells(cells) -> list[str]:
+    """Each cell as csv.writer writes it inside a row; each distinct cell is encoded once."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    encoded = {}
+    for cell in dict.fromkeys(cells):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((cell, ""))  # a second field: csv.writer quotes an empty cell only when it is the whole row
+        encoded[cell] = buf.getvalue()[:-3]
+    return list(map(encoded.__getitem__, cells))
+
+
+def _fmt(values: np.ndarray) -> list[str]:
+    """Each float's repr, empty for NaN."""
+    texts = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        texts[i] = ""
+    return texts
+
+
+def write_csv(path, header, keys, columns, tail=()) -> None:
+    """Write a CSV whose rows run over the product of the `keys` axes, outermost first.
+
+    Row r holds one cell of each key axis, then element r (in C order) of
+    each array in `columns`, formatted by _fmt, then the `tail` cells. The
+    bytes equal those of csv.writer fed the same rows one at a time.
+    """
+    axes = [[cell + "," for cell in _text_cells(axis)] for axis in keys]
+    end = "".join("," + cell for cell in _text_cells(tail)) + "\r\n"
+    flat = [np.asarray(c, dtype=float).ravel() for c in columns]  # None becomes NaN
+    prefixes = map("".join, itertools.product(*axes))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_text_cells(header)) + "\r\n")
+        for start in range(0, flat[0].size, _CHUNK_ROWS):
+            texts = [_fmt(c[start:start + _CHUNK_ROWS]) for c in flat]
+            values = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
+            fh.write(end.join(map(str.__add__, itertools.islice(prefixes, len(texts[0])), values)) + end)
 
 
 def save_dataset(dataset: EnsembleDataset, stations_path, forecasts_path, observations_path) -> None:
     """Write the three CSV files; a reload reproduces the dataset exactly."""
-    with open(stations_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("station_id", "lon", "lat", "x_km", "y_km"))
-        for s in dataset.stations:
-            w.writerow((s.id, _fmt(s.lon), _fmt(s.lat), _fmt(s.x), _fmt(s.y)))
-    with open(forecasts_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("date", "station_id", "member", "value_c"))
-        for di, day in enumerate(dataset.days):
-            for si, sid in enumerate(dataset.stations.ids):
-                for m in range(dataset.members):
-                    w.writerow((day, sid, m + 1, _fmt(dataset.forecasts[di, si, m])))
-    with open(observations_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("date", "station_id", "value_c"))
-        for di, day in enumerate(dataset.days):
-            for si, sid in enumerate(dataset.stations.ids):
-                w.writerow((day, sid, _fmt(dataset.observations[di, si])))
+    ids = dataset.stations.ids
+    write_csv(stations_path, ("station_id", "lon", "lat", "x_km", "y_km"), [ids],
+              [[getattr(s, c) for s in dataset.stations] for c in ("lon", "lat", "x", "y")])
+    write_csv(forecasts_path, ("date", "station_id", "member", "value_c"),
+              [dataset.days, ids, range(1, dataset.members + 1)], [dataset.forecasts])
+    write_csv(observations_path, ("date", "station_id", "value_c"), [dataset.days, ids], [dataset.observations])
+
+
+def save_fields_csv(sample: ForecastFieldSample, path) -> None:
+    """Write a sample's fields, one row per (sample, station); inverse of load_fields_csv."""
+    write_csv(path, FIELDS_HEADER, [range(1, sample.n_samples + 1), sample.station_order], [sample.fields],
+              [sample.provenance])
+
+
+def load_fields_csv(path) -> ForecastFieldSample:
+    """Read a fields CSV back into a sample; inverse of save_fields_csv."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != FIELDS_HEADER:
+            raise LoadError(f"{path}: expected header {','.join(FIELDS_HEADER)}")
+        per_sample: dict = {}
+        provenance = None
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(FIELDS_HEADER):
+                raise LoadError(f"{path} line {reader.line_num}: expected {len(FIELDS_HEADER)} fields, got {len(row)}")
+            try:
+                idx, value = int(row[0]), float(row[2])
+            except ValueError:
+                raise LoadError(
+                    f"{path} line {reader.line_num}: bad sample number {row[0]!r} or value {row[2]!r}"
+                ) from None
+            per_sample.setdefault(idx, []).append((row[1], value))
+            if provenance is None:
+                provenance = row[3]
+            elif provenance != row[3]:
+                raise LoadError(f"{path}: mixed provenance values")
+    if not per_sample:
+        raise LoadError(f"{path}: no field rows")
+    first = min(per_sample)
+    order = tuple(sid for sid, _ in per_sample[first])
+    if len(set(order)) != len(order):
+        twice = next(sid for k, sid in enumerate(order) if sid in order[:k])
+        raise LoadError(f"{path}: sample {first} lists station {twice!r} more than once")
+    fields = np.empty((len(per_sample), len(order)))
+    for k, (idx, rows) in enumerate(sorted(per_sample.items())):
+        if tuple(sid for sid, _ in rows) != order:
+            raise LoadError(f"{path}: sample {idx} has a different station order")
+        fields[k] = [v for _, v in rows]
+    return ForecastFieldSample(order, fields, provenance)
 
 
 def rolling_windows(dataset: EnsembleDataset, window_length: int = 25) -> list[TrainingWindow]:

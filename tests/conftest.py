@@ -315,6 +315,42 @@ def rowwise_load_dataset(stations_path, forecasts_path, observations_path):
     return EnsembleDataset(stations, days, forecasts, observations)
 
 
+def rowwise_fmt(value) -> str:
+    """A CSV value cell: repr of the float, empty for None and NaN."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    return repr(float(value))
+
+
+def rowwise_csv(path, header, rows):
+    """csv.writer fed one row at a time: the bytes that ingest.write_csv must reproduce."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def rowwise_save_dataset(dataset, stations_path, forecasts_path, observations_path):
+    """The three dataset CSVs written a row at a time, which save_dataset must reproduce byte for byte."""
+    ids, fmt = dataset.stations.ids, rowwise_fmt
+    rowwise_csv(stations_path, ("station_id", "lon", "lat", "x_km", "y_km"),
+                ((s.id, fmt(s.lon), fmt(s.lat), fmt(s.x), fmt(s.y)) for s in dataset.stations))
+    rowwise_csv(forecasts_path, ("date", "station_id", "member", "value_c"),
+                ((day, sid, m + 1, fmt(dataset.forecasts[t, s, m]))
+                 for t, day in enumerate(dataset.days) for s, sid in enumerate(ids) for m in range(dataset.members)))
+    rowwise_csv(observations_path, ("date", "station_id", "value_c"),
+                ((day, sid, fmt(dataset.observations[t, s])) for t, day in enumerate(dataset.days)
+                 for s, sid in enumerate(ids)))
+
+
+def rowwise_fields_csv(sample, path):
+    """A fields CSV written a row at a time, which save_fields_csv must reproduce byte for byte."""
+    rowwise_csv(path, ("sample", "station_id", "value_c", "provenance"),
+                ((i + 1, sid, rowwise_fmt(sample.fields[i, j]), sample.provenance)
+                 for i in range(sample.n_samples) for j, sid in enumerate(sample.station_order)))
+
+
 def last_window(data, window_length=25):
     days = data.days
     return TrainingWindow(days[-1], tuple(days[-1 - window_length:-1]))

@@ -11,8 +11,11 @@ import pytest
 from enspost import cli, ingest
 from enspost.bma import params_from_json, predict_bma
 from enspost.cli import load_fields_csv, main
-from enspost.ingest import LoadError, load_dataset
+from enspost.core import EnsembleDataset, Station, StationSet
+from enspost.experiment import predict_rows, read_params
+from enspost.ingest import LoadError, data_paths, load_data_dir, load_dataset, save_dataset
 from enspost.verify import ScoreTable
+from tests.conftest import rowwise_csv, rowwise_fields_csv, rowwise_fmt
 
 SPEC_TEXT = """# compact panel for pipeline runs
 recipe = default
@@ -93,6 +96,36 @@ class TestFitPredictChain:
         assert rc == 0
         table = ScoreTable.read_csv(out / "verify_scores.csv")
         assert len(table.values("grf-spatial", "es")) == 1
+
+    def test_quoted_station_ids_through_predict_sample_verify(self, workspace, tmp_path):
+        src = load_dataset(*data_paths(workspace / "data"))
+        ids = ["A,1", 'B"2', "C\0"] + list(src.stations.ids[3:])
+        stations = StationSet(Station(sid, s.x, s.y, s.lon, s.lat) for sid, s in zip(ids, src.stations))
+        data, params, pred, fields = tmp_path / "data", tmp_path / "p.json", tmp_path / "pred.csv", tmp_path / "f.csv"
+        data.mkdir()
+        save_dataset(EnsembleDataset(stations, src.days, src.forecasts, src.observations), *data_paths(data))
+        assert main(["fit", "--data", str(data), "--method", "ngr+", "--day", "2024-01-18", "--window", "14",
+                     "--spatial", "grf", "--out", str(params)]) == 0
+        assert main(["predict", "--data", str(data), "--params", str(params), "--out", str(pred)]) == 0
+        _, method, fitted, _ = read_params(params)
+        d = load_data_dir(data)
+        rows, law = predict_rows(method, fitted, d.stations, d.forecasts[d.day_index("2024-01-18")])
+        rowwise_csv(tmp_path / "want.csv", ("station_id", "mean", "sd"),
+                    ((sid, rowwise_fmt(m), rowwise_fmt(v))
+                     for sid, m, v in zip(np.array(ids, dtype=object)[rows], law.mean.tolist(), law.sd.tolist())))
+        assert pred.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert pred.read_bytes().startswith(b'station_id,mean,sd\r\n"A,1",')
+        assert b'\r\nC\x00,' in pred.read_bytes()  # the id keeps its trailing NUL
+
+        assert main(["sample", "--data", str(data), "--params", str(params), "--spatial", "grf",
+                     "--n", "30", "--out", str(fields), "--seed", "2"]) == 0
+        sample = load_fields_csv(fields)
+        assert sample.station_order == tuple(ids)
+        rowwise_fields_csv(sample, tmp_path / "want_fields.csv")
+        assert fields.read_bytes() == (tmp_path / "want_fields.csv").read_bytes()
+        assert main(["verify", "--fields", str(fields), "--data", str(data), "--day", "2024-01-18",
+                     "--out", str(tmp_path / "scores")]) == 0
+        assert len(ScoreTable.read_csv(tmp_path / "scores" / "verify_scores.csv")) == 3
 
     def test_sample_modes_and_provenance(self, workspace):
         data = workspace / "data"
@@ -251,6 +284,19 @@ class TestErrorPaths:
                    "--day", "2024-01-18", "--out", str(tmp_path / "scores")])
         assert rc == 1
         assert f"error: {bad} line 4: expected 4 fields, got 2" in capsys.readouterr().err
+
+    def test_fields_csv_station_listed_twice_is_rejected(self, workspace, tmp_path, capsys):
+        ids = load_dataset(*data_paths(workspace / "data")).stations.ids
+        path = tmp_path / "twice.csv"
+        path.write_text("sample,station_id,value_c,provenance\n" + "".join(
+            f"{k},{sid},15.0,independent\n" for k in (1, 2) for sid in (*ids, ids[0])))
+        with pytest.raises(LoadError) as got:
+            load_fields_csv(path)
+        assert str(got.value) == f"{path}: sample 1 lists station 'S1' more than once"
+        rc = main(["verify", "--fields", str(path), "--data", str(workspace / "data"),
+                   "--day", "2024-01-18", "--out", str(tmp_path / "scores")])
+        assert rc == 1
+        assert f"error: {path}: sample 1 lists station 'S1' more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, bad", [("x1,S1,15.0,independent", "'x1'"), ("1,S1,warm,independent", "'warm'")])
     def test_fields_csv_bad_number_names_its_line(self, workspace, tmp_path, capsys, row, bad):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from enspost import ingest
-from enspost.core import EnsembleDataset, Station, StationSet
+from enspost.core import EnsembleDataset, ForecastFieldSample, Station, StationSet
 from enspost.ingest import (
     CACHE_FILE,
     DATA_FILES,
@@ -14,13 +14,15 @@ from enspost.ingest import (
     data_paths,
     load_data_dir,
     load_dataset,
+    load_fields_csv,
     load_stations,
     read_key_values,
     rolling_windows,
     save_dataset,
+    save_fields_csv,
 )
 from enspost.synth import default_spec, generate
-from tests.conftest import make_dataset, rowwise_load_dataset
+from tests.conftest import make_dataset, rowwise_fields_csv, rowwise_load_dataset, rowwise_save_dataset
 
 STATIONS = "station_id,lon,lat,x_km,y_km\nA,,,0,0\nB,,,10,0\n"
 FC_HEAD = "date,station_id,member,value_c\n"
@@ -188,6 +190,54 @@ class TestLoadErrors:
         assert got.stations.coords.tobytes() == want.stations.coords.tobytes()
         assert got.forecasts.tobytes() == want.forecasts.tobytes()
         assert got.observations.tobytes() == want.observations.tobytes()
+
+
+ODD_IDS = ("A,1", 'B"2', " C")  # quoted by csv.writer, quoted, left bare
+ODD_VALUES = (-0.0, 1e-05, 1e+16, 5e-324)  # signed zero and exponent forms of repr
+
+
+class TestCsvWriter:
+    """save_dataset and save_fields_csv write the bytes of csv.writer fed one row at a time."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 5])
+    def test_save_dataset_matches_rowwise_writer(self, tmp_path, monkeypatch, chunk_rows):
+        if chunk_rows:
+            monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        data = make_dataset(n_days=4, n_stations=3, n_members=4)
+        coords = [(None, 48.5, 2, 0), (-0.0, None, 1e-05, -3.5), (1e+16, 5e-324, 10.0, 1e+16)]
+        stations = StationSet(Station(sid, x, y, lon, lat) for sid, (lon, lat, x, y) in zip(ODD_IDS, coords))
+        fc, obs = data.forecasts.copy(), data.observations.copy()
+        fc[0, 0], fc[1, 2, 1:3], obs[0, :2], obs[2, 1] = ODD_VALUES, np.nan, ODD_VALUES[2:], np.nan
+        data = EnsembleDataset(stations, data.days, fc, obs)
+        got = [tmp_path / n for n in ("s.csv", "f.csv", "o.csv")]
+        want = [tmp_path / f"want_{n}" for n in ("s.csv", "f.csv", "o.csv")]
+        save_dataset(data, *got)
+        rowwise_save_dataset(data, *want)
+        assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+        stations_csv, forecasts_csv, observations_csv = (p.read_bytes() for p in got)
+        assert b'\r\n"A,1",,48.5,2.0,0.0\r\n"B""2",-0.0,,1e-05,-3.5\r\n C,1e+16,5e-324,10.0,1e+16\r\n' in stations_csv
+        assert b'\r\n2024-01-01,"A,1",1,-0.0\r\n2024-01-01,"A,1",2,1e-05\r\n' in forecasts_csv
+        assert b',\r\n' in forecasts_csv and b',\r\n' in observations_csv
+        loaded = load_dataset(*got)
+        assert loaded.forecasts.tobytes() == fc.tobytes() and loaded.observations.tobytes() == obs.tobytes()
+
+    @pytest.mark.parametrize("chunk_rows", [None, 4])
+    def test_save_fields_csv_matches_rowwise_writer(self, tmp_path, monkeypatch, chunk_rows):
+        if chunk_rows:
+            monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        fields = np.random.default_rng(1).normal(12.0, 4.0, (5, 3))
+        fields.flat[:4] = ODD_VALUES
+        sample = ForecastFieldSample(ODD_IDS, fields, "grf-spatial")
+        got, want = tmp_path / "fields.csv", tmp_path / "want.csv"
+        save_fields_csv(sample, got)
+        rowwise_fields_csv(sample, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().startswith(
+            b'sample,station_id,value_c,provenance\r\n1,"A,1",-0.0,grf-spatial\r\n1,"B""2",1e-05,grf-spatial\r\n'
+            b'1, C,1e+16,grf-spatial\r\n2,"A,1",5e-324,grf-spatial\r\n')
+        back = load_fields_csv(got)
+        assert back.station_order == ODD_IDS
+        assert back.fields.tobytes() == sample.fields.tobytes()
 
 
 def write_season(root, seed=5):

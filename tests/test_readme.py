@@ -1,16 +1,28 @@
-"""The README's library example runs as written."""
+"""The README's library example and single-day CLI example run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
+from enspost.cli import load_fields_csv, main
 from enspost.ingest import save_dataset
 from enspost.synth import default_spec, generate
+from enspost.verify import ScoreTable
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def python_blocks(text):
     return re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+
+
+def plain_blocks(text):
+    return re.findall(r"^```\n(.*?)^```", text, flags=re.S | re.M)
+
+
+def enspost_commands(block):
+    """The arguments of each `enspost ...` line of a shell block, continuation lines joined."""
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.startswith("enspost ")]
 
 
 def test_library_example_runs(tmp_path, monkeypatch, capsys):
@@ -27,3 +39,21 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     mean, sd, q90 = (float(v) for v in one.split())
     assert sd > 0 and q90 > mean
     assert day == f"True ({data.n_stations}, 2)"
+
+
+def test_single_day_cli_example_runs(tmp_path, monkeypatch):
+    blocks = plain_blocks(README.read_text())
+    (spec,) = [b for b in blocks if b.startswith("recipe =")]
+    (synth,) = [argv for b in blocks for argv in enspost_commands(b) if argv[0] == "synth"]
+    (single_day,) = [enspost_commands(b) for b in blocks if b.startswith("enspost fit")]
+    assert [argv[0] for argv in single_day] == ["fit", "predict", "sample", "verify"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "examples.spec").write_text(spec)
+    assert main(synth) == 0
+    for argv in single_day:
+        assert main(argv) == 0, argv
+    runs = tmp_path / "runs"
+    assert len((runs / "pred.csv").read_text().splitlines()) == 41
+    assert load_fields_csv(runs / "fields.csv").fields.shape == (1000, 40)
+    scores = ScoreTable.read_csv(runs / "scores" / "verify_scores.csv")
+    assert {r.score for r in scores.rows} == {"es", "ee", "ds"}
