@@ -37,6 +37,7 @@ from .spatial import (
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+EM_TOL = 1e-6  # EM stops when an EM step gains less log-likelihood than this
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,6 @@ def _em(mu: np.ndarray, y: np.ndarray, sigma2: float, em_tol: float, max_iter: i
 def fit_bma(
     data: EnsembleDataset,
     window: TrainingWindow,
-    em_tol: float = 1e-6,
     *,
     max_iter: int = 500,
 ) -> BmaParams:
@@ -220,14 +220,14 @@ def fit_bma(
 
     EM starts from uniform weights and the pooled OLS residual variance, and
     runs on complete cases (observation and every member present) until an
-    EM step gains less than em_tol in log-likelihood. EM is accelerated by
+    EM step gains less than EM_TOL in log-likelihood. EM is accelerated by
     SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35), which moves its
     step length toward plain EM's until the extrapolated point's
     log-likelihood is at least that of the point it was extrapolated from;
     an EM step that decreases the log-likelihood beyond rounding is an
     error. max_iter bounds the EM steps
     (E+M evaluations). The result's n_iter counts them, converged says
-    whether em_tol was met, and loglik is the log-likelihood of the
+    whether EM_TOL was met, and loglik is the log-likelihood of the
     returned weights and variance.
     """
     F, Y = data.training_panels(window)
@@ -264,9 +264,9 @@ def fit_bma(
     mu = a + b * F[complete]             # (n, M)
 
     sigma2 = max(ss_resid / max(n_resid, 1), VARIANCE_FLOOR)
-    w, sigma2, n_iter, converged, loglik = _em(mu, y, sigma2, em_tol, max_iter)
+    w, sigma2, n_iter, converged, loglik = _em(mu, y, sigma2, EM_TOL, max_iter)
     if not converged:
-        warnings.warn(f"EM stopped after {max_iter} iterations without meeting tol {em_tol}", stacklevel=2)
+        warnings.warn(f"EM stopped after {max_iter} iterations without meeting tol {EM_TOL}", stacklevel=2)
     return BmaParams(a=a, b=b, w=w, sigma2=float(sigma2), n_iter=n_iter, converged=converged, loglik=loglik)
 
 
@@ -293,7 +293,6 @@ def fit_spatial_bma(
     data: EnsembleDataset,
     window: TrainingWindow,
     bma: BmaParams,
-    n_bins: int = 20,
 ) -> SpatialBmaParams:
     """Per-member error-correlation fits on standardized member residuals.
 
@@ -322,7 +321,7 @@ def fit_spatial_bma(
             stacked = np.concatenate([p.values for p in panels], axis=0)
             labels = tuple(f"{d}/m{m + 1}" for m in range(bma.members) for d in days)
             panel = StandardizedErrorPanel(labels, stations.ids, stacked)
-            pooled_fit = fit_variogram(empirical_variogram(panel, stations, n_bins), r_max=r_max)
+            pooled_fit = fit_variogram(empirical_variogram(panel, stations), r_max=r_max)
         return pooled_fit
 
     fits = []
@@ -330,7 +329,7 @@ def fit_spatial_bma(
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                fit = fit_variogram(empirical_variogram(panels[m], stations, n_bins), r_max=r_max)
+                fit = fit_variogram(empirical_variogram(panels[m], stations), r_max=r_max)
         except (ValueError, np.linalg.LinAlgError, RuntimeError, Warning):
             warnings.warn(f"member {m + 1} residual variogram degenerate; using pooled fit", stacklevel=2)
             fit = pooled()

@@ -19,6 +19,7 @@ from . import verify as verify_mod
 from .core import StationSet, seeded_rng
 from .experiment import (
     METHODS,
+    SPATIAL_MODES,
     draw_fields,
     fit_spatial,
     parse_experiment_config,
@@ -179,10 +180,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one method for one target day")
     p.add_argument("--data", required=True, help="directory with stations/forecasts/observations CSVs")
-    p.add_argument("--method", required=True, choices=("ngr+", "ngrc", "bma"))
+    p.add_argument("--method", required=True, choices=tuple(METHODS))
     p.add_argument("--day", required=True, help="target day (must have a full training window)")
     p.add_argument("--window", type=int, default=25)
-    p.add_argument("--spatial", choices=("none", "grf", "spatial-bma"), default="none",
+    p.add_argument("--spatial", choices=SPATIAL_MODES, default="none",
                    help="also fit the error-correlation model this mode needs")
     p.add_argument("--out", required=True, help="output params JSON")
     p.set_defaults(func=cmd_fit)
@@ -198,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--day", default=None)
-    p.add_argument("--spatial", choices=("none", "grf", "ecc", "spatial-bma"), default="none")
+    p.add_argument("--spatial", choices=SPATIAL_MODES, default="none")
     p.add_argument("--n", type=int, default=100, help="number of fields (ecc always yields M)")
     p.add_argument("--out", required=True, help="output CSV (sample,station_id,value_c,provenance)")
     p.add_argument("--seed", type=int, default=0)
@@ -215,8 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--data", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--method", choices=("ngr+", "ngrc", "bma"), default=None)
-    p.add_argument("--spatial", choices=("none", "grf", "ecc", "spatial-bma"), default=None)
+    p.add_argument("--method", choices=tuple(METHODS), default=None)
+    p.add_argument("--spatial", choices=SPATIAL_MODES, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--fields", type=int, default=None, help="sampled fields per day")
     p.add_argument("--threshold", type=float, action="append", default=[],

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ForecastFieldSample
+from .verify import tie_broken_ranks
 
 
 def ecc_quantiles(dist, m: int) -> np.ndarray:
@@ -30,10 +31,7 @@ def rank_permutation(raw_members, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("raw member values must form a non-empty vector")
     if np.isnan(v).any():
         raise ValueError("raw member values contain missing entries")
-    order = np.lexsort((rng.random(v.size), v))
-    ranks = np.empty(v.size, dtype=int)
-    ranks[order] = np.arange(1, v.size + 1)
-    return ranks
+    return tie_broken_ranks(v, rng)
 
 
 def ecc_reorder(

@@ -22,7 +22,6 @@ raw rank histogram, both with M+1 bins.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import warnings
@@ -65,24 +64,21 @@ class Method:
     """How one method is fitted, applied and stored; the values of METHODS."""
 
     fit: Callable  # (data, window, previous day's params or None) -> params
-    predictor: Callable  # (params, stations) -> ((station ids, member forecasts (n, M)) -> predictive law)
+    predictor: Callable  # (params, stations) -> ((station positions (n,), member forecasts (n, M)) -> predictive law)
     to_json: Callable  # (params, target day, training days) -> dict
     from_json: Callable  # dict -> params
 
 
 def _ngrc_predictor(params, stations: StationSet):
     """predict_ngr_c at every station, interpolating the climatologies the fit left out."""
-    have = StationSet(st for st in stations if st.id in params.climatology)
-    extra = {st.id: ngr_mod.interpolate_ngr_c(params, st, have) for st in stations if st.id not in params.climatology}
-    if extra:
-        params = dataclasses.replace(params, climatology={**params.climatology, **extra})
-    return lambda sids, forecasts: ngr_mod.predict_ngr_c(params, sids, forecasts)
+    params, rows = ngr_mod.interpolate_ngr_c(params, stations)
+    return lambda positions, forecasts: ngr_mod.predict_ngr_c(params, rows[positions], forecasts)
 
 
 METHODS = {
     "ngr+": Method(
         fit=lambda data, window, prev: ngr_mod.fit_ngr_plus(data, window, init=prev),
-        predictor=lambda params, stations: lambda sids, forecasts: ngr_mod.predict_ngr_plus(params, forecasts),
+        predictor=lambda params, stations: lambda positions, forecasts: ngr_mod.predict_ngr_plus(params, forecasts),
         to_json=ngr_mod.params_to_json,
         from_json=ngr_mod.params_from_json,
     ),
@@ -96,7 +92,7 @@ METHODS = {
         # no warm start from prev: EM's weight update is multiplicative, so a
         # weight that reached 0 on one day could never recover on the next
         fit=lambda data, window, prev: bma_mod.fit_bma(data, window),
-        predictor=lambda params, stations: lambda sids, forecasts: bma_mod.predict_bma(params, forecasts),
+        predictor=lambda params, stations: lambda positions, forecasts: bma_mod.predict_bma(params, forecasts),
         to_json=bma_mod.params_to_json,
         from_json=bma_mod.params_from_json,
     ),
@@ -225,8 +221,8 @@ def predict_rows(method: str, params, stations: StationSet, forecasts: np.ndarra
     Returns the rows as a (..., S) mask and one law over them in row order.
     """
     rows = np.isfinite(forecasts).any(axis=-1)
-    ids = np.broadcast_to(np.array(stations.ids), rows.shape)[rows]
-    return rows, METHODS[method].predictor(params, stations)(ids, forecasts[rows])
+    positions = np.broadcast_to(np.arange(len(stations)), rows.shape)[rows]
+    return rows, METHODS[method].predictor(params, stations)(positions, forecasts[rows])
 
 
 def _moment_panels(method: str, params, data: EnsembleDataset, window) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +298,6 @@ class ActiveDay:
     y: np.ndarray  # (n,) their observations
     members: np.ndarray  # (n, M) their raw members
     stations: StationSet  # their stations: one set, so one distance matrix, for every combo
-    region: np.ndarray  # (n,) mask of those in the composite-minimum region
 
 
 def fit_methods(methods, data: EnsembleDataset, window: TrainingWindow, prev: dict) -> dict:
@@ -356,25 +351,26 @@ def draw_combo(method: str, mode: str, params, law, data: EnsembleDataset, day: 
     return spatial, sample, None if moments is None else verify.dawid_sebastiani(*moments(), day.y)
 
 
-def score_fields(label: str, fields: np.ndarray, ds: Optional[float], day: ActiveDay, cfg: ExperimentConfig):
+def score_fields(label: str, sample: ForecastFieldSample, ds: Optional[float], day: ActiveDay, cfg: ExperimentConfig):
     """A label's field and region rows for its fields, ds taken from them if None, and its band-depth ranks."""
-    es, ee = verify.field_scores(fields, day.y)
+    es, ee = verify.field_scores(sample.fields, day.y)
     if ds is None:
-        ds = verify.ds_from_sample(fields, day.y)
+        ds = verify.ds_from_sample(sample.fields, day.y)
     rows = [("field", "es", es), ("field", "ee", ee), ("field", "ds", ds)]
-    if day.region.any():
-        minima = fields[:, day.region].min(axis=1)
-        obs_min = float(day.y[day.region].min())
+    region = [sid for sid in day.stations.ids if not cfg.region or sid in cfg.region]
+    if region:
+        minima = verify.composite_minimum(sample, region)
+        obs_min = float(min(day.y[day.stations.index(sid)] for sid in region))
         half = minima.size // 2
         min_crps = (verify.crps_sample(minima[:half], minima[half: 2 * half], obs_min) if minima.size >= 100
                     else verify.crps_ensemble(minima, obs_min))
         rows += [("region", "min_crps", min_crps), ("region", "min_bias", float(minima.mean()) - obs_min)]
         rows += [("region", f"bs@{x:g}", verify.brier_score(verify.threshold_prob(minima, x), obs_min, x))
                  for x in cfg.thresholds]
-    if fields.shape[0] < 2:
+    if sample.n_samples < 2:
         return rows, []
     rng = seeded_rng(cfg.seed, f"verify/banddepth/{label}/{day.window.target_day}")
-    return rows, [verify.band_depth_rank(np.vstack([day.y[None, :], fields[:BAND_DEPTH_FIELDS]]), rng, 0)]
+    return rows, [verify.band_depth_rank(np.vstack([day.y[None, :], sample.fields[:BAND_DEPTH_FIELDS]]), rng, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             obs, fc = data.observations[t], data.forecasts[t]
             active = np.isfinite(obs) & np.isfinite(fc).any(axis=1)
             act_set = StationSet(data.stations[s] for s in np.flatnonzero(active))
-            day = ActiveDay(window, obs[active], fc[active], act_set, np.isin(act_set.ids, cfg.region or act_set.ids))
+            day = ActiveDay(window, obs[active], fc[active], act_set)
 
             fits = fit_methods(methods, data, window, prev)
             n_warnings += len(methods) - len(fits)
@@ -428,14 +424,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             table.add_rows(date, "raw", rows)
             if not active.any():
                 continue
-            laws = {m: METHODS[m].predictor(fits[m], data.stations)(act_set.ids, day.members) for m in fits}
+            laws = {m: METHODS[m].predictor(fits[m], data.stations)(np.flatnonzero(active), day.members) for m in fits}
             for method, law in laws.items():
                 rows, pits[method][k, active] = marginal_scores(law, day, cfg)
                 table.add_rows(date, method, rows)
             if active.sum() < 2:
                 continue
 
-            rows, bd = score_fields("raw", impute(day.members)[0].T, None, day, cfg)
+            raw = ForecastFieldSample(act_set.ids, impute(day.members)[0].T, "raw")
+            rows, bd = score_fields("raw", raw, None, day, cfg)
             table.add_rows(date, "raw", rows)
             band_depth["raw"] += bd
             for method, spatial_mode in cfg.combos:
@@ -449,7 +446,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     n_warnings += 1
                     failed[label].append(date)
                     continue
-                rows, bd = score_fields(label, sample.fields, ds, day, cfg)
+                rows, bd = score_fields(label, sample, ds, day, cfg)
                 table.add_rows(date, label, rows)
                 band_depth[label] += bd
                 pdir = out / "params" / _safe(label)

@@ -126,7 +126,7 @@ def load_stations(path) -> StationSet:
     checks = [
         width_check,
         (_first([s == "" for s in sid]), lambda i: "empty station id"),
-        (_repeat(np.unique(sid, return_inverse=True)[1]), lambda i: f"duplicate station id {sid[i]!r}"),
+        (_repeat(_codes(sid, {s: i for i, s in enumerate(sid)})), lambda i: f"duplicate station id {sid[i]!r}"),
     ]
     coords = []
     for name, cells in zip(("lon", "lat", "x_km", "y_km"), text):

@@ -8,7 +8,8 @@ Two variants share one CRPS-minimization core:
 * a locally adaptive variant that regresses observed anomalies on member
   forecast anomalies around per-station training-window climatologies, with
   predictive variance c * xi_s^2 + d * S^2 built from the station's own mean
-  squared regression residual xi_s^2.
+  squared regression residual xi_s^2. The climatologies are rows of arrays,
+  one per station, and a prediction gathers its stations' rows by index.
 
 Variance coefficients always enter squared (c = c_raw^2, d = d_raw^2), and the
 fits minimize the mean closed-form CRPS over the training window by
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,7 +33,6 @@ from .core import (
     EnsembleDataset,
     GaussianPredictive,
     MixturePredictive,
-    Station,
     StationSet,
     TrainingWindow,
     _readonly,
@@ -129,27 +129,16 @@ class NgrPlusParams:
 
 
 @dataclass(frozen=True)
-class StationClimatology:
-    """Training-window climatology at one station."""
-
-    ybar: float
-    fbar: np.ndarray
-    xi2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "fbar", _readonly(np.array(self.fbar, dtype=float).ravel()))
-        if self.xi2 < 0:
-            raise ValueError("xi2 must be non-negative")
-
-
-@dataclass(frozen=True)
 class NgrCParams:
     """Locally adaptive regression parameters around station climatologies."""
 
     b: np.ndarray
     c_raw: float
     d_raw: float
-    climatology: Mapping[str, StationClimatology]
+    station_ids: tuple[str, ...]  # (K,): row k of the climatology below is station_ids[k]'s
+    ybar: np.ndarray  # (K,) training-window mean observation
+    fbar: np.ndarray  # (K, M) training-window mean member forecasts
+    xi2: np.ndarray  # (K,) mean squared anomaly-regression residual
     ridge: float = 0.0
     converged: bool = True
     grad_norm: float = float("nan")
@@ -162,7 +151,13 @@ class NgrCParams:
         if self.c_raw ** 2 + self.d_raw ** 2 == 0.0:
             raise ValueError("at least one of c, d must be strictly positive")
         object.__setattr__(self, "b", _readonly(b))
-        object.__setattr__(self, "climatology", dict(self.climatology))
+        object.__setattr__(self, "station_ids", tuple(self.station_ids))
+        for name, shape in (("ybar", -1), ("fbar", (-1, b.size)), ("xi2", -1)):
+            object.__setattr__(self, name, _readonly(np.array(getattr(self, name), dtype=float).reshape(shape)))
+        if not len(self.station_ids) == self.ybar.size == len(self.fbar) == self.xi2.size:
+            raise ValueError("station_ids, ybar, fbar and xi2 must hold one row per station")
+        if np.any(self.xi2 < 0):
+            raise ValueError("xi2 must be non-negative")
 
     @property
     def c(self) -> float:
@@ -207,13 +202,13 @@ def _crps_objective_terms(y, mu, var):
     return float(crps.sum() / n), d_mu, d_sd_over_sd
 
 
-def _descend(objective, x0: np.ndarray, gtol: float, max_iter: int, what: str):
-    """BFGS from x0 that never ends worse than x0.
+def _descend(objective, x0: np.ndarray, what: str):
+    """BFGS from x0 (gtol 1e-8, at most 500 iterations) that never ends worse than x0.
 
     Returns (x, objective, gradient max-norm, converged); a fit whose
     gradient stays above 1e-6 warns.
     """
-    res = minimize(objective, x0, jac=True, method="BFGS", options={"gtol": gtol, "maxiter": max_iter})
+    res = minimize(objective, x0, jac=True, method="BFGS", options={"gtol": 1e-8, "maxiter": 500})
     x_best, f_best = res.x, float(res.fun)
     f_init, _ = objective(x0)
     if f_best > f_init:  # never leave the start for something worse
@@ -228,9 +223,6 @@ def fit_ngr_plus(
     data: EnsembleDataset,
     window: TrainingWindow,
     init: Optional[NgrPlusParams] = None,
-    *,
-    gtol: float = 1e-8,
-    max_iter: int = 500,
 ) -> NgrPlusParams:
     """Fit the global regression by minimizing mean CRPS over the window.
 
@@ -261,7 +253,7 @@ def fit_ngr_plus(
         grad[2 + M] = d_raw * (d_sd_over_sd @ S2)
         return value, grad
 
-    x_best, f_best, grad_norm, converged = _descend(objective, x0, gtol, max_iter, "regression")
+    x_best, f_best, grad_norm, converged = _descend(objective, x0, "regression")
     return NgrPlusParams(
         a=float(x_best[0]),
         beta=x_best[1:1 + M],
@@ -293,32 +285,27 @@ def predict_ngr_plus(params: NgrPlusParams, forecasts) -> GaussianPredictive:
 def fit_ngr_c(
     data: EnsembleDataset,
     window: TrainingWindow,
-    ridge: Optional[float] = None,
-    *,
-    min_station_obs: int = 5,
     init: Optional[NgrCParams] = None,
-    gtol: float = 1e-8,
-    max_iter: int = 500,
 ) -> NgrCParams:
     """Two-step fit: ridge least squares for b, then CRPS descent for (c, d).
 
     Step one regresses observed anomalies on member forecast anomalies around
     the training-window climatology, pooled over stations, with penalty
-    ridge * ||b||^2 (default ridge = 1e-4 * n_rows; coefficients are not sign
+    ridge * ||b||^2, ridge = 1e-4 * n_rows (coefficients are not sign
     constrained). Station-day pairs with a missing observation are dropped;
-    stations with fewer than `min_station_obs` usable pairs are left out of
-    the fit and carry no climatology. xi_s^2 is the mean squared step-one
-    residual at station s. `init` (typically the previous day's fit) starts
-    the descent at its (c_raw, d_raw); the default start is (1, 1).
+    stations with fewer than 5 usable pairs are left out of the fit and
+    carry no climatology. xi_s^2 is the mean squared step-one residual at
+    station s. `init` (typically the previous day's fit) starts the descent
+    at its (c_raw, d_raw); the default start is (1, 1).
     """
     y, F, S2, s_rows, _ = _training_rows(data, window)
     M = data.members
     station_ids = data.stations.ids
 
     counts = np.bincount(s_rows, minlength=len(station_ids))
-    kept_stations = np.nonzero(counts >= min_station_obs)[0]
+    kept_stations = np.nonzero(counts >= 5)[0]
     if kept_stations.size == 0:
-        raise ValueError(f"no station has {min_station_obs} usable training pairs")
+        raise ValueError("no station has 5 usable training pairs")
     keep_row = np.isin(s_rows, kept_stations)
     y, F, S2, s_rows = y[keep_row], F[keep_row], S2[keep_row], s_rows[keep_row]
     n = y.size
@@ -335,17 +322,8 @@ def fit_ngr_c(
 
     X = F - fbar[s_rows]
     y_anom = y - ybar[s_rows]
-    if ridge is None:
-        ridge = 1e-4 * n
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
-    if ridge == 0.0:
-        b, _, rank, _ = np.linalg.lstsq(X, y_anom, rcond=None)
-        if rank < M:
-            warnings.warn("singular normal equations at ridge=0; refitting with ridge=1e-6", stacklevel=2)
-            ridge = 1e-6
-    if ridge > 0.0:
-        b = np.linalg.solve(X.T @ X + ridge * np.eye(M), X.T @ y_anom)
+    ridge = 1e-4 * n
+    b = np.linalg.solve(X.T @ X + ridge * np.eye(M), X.T @ y_anom)
 
     resid = y_anom - X @ b
     xi2 = np.zeros(len(station_ids))
@@ -366,17 +344,16 @@ def fit_ngr_c(
         return value, grad
 
     x0 = np.array([1.0, 1.0] if init is None else [init.c_raw, init.d_raw])
-    x_best, f_best, grad_norm, converged = _descend(objective, x0, gtol, max_iter, "variance")
+    x_best, f_best, grad_norm, converged = _descend(objective, x0, "variance")
 
-    climatology = {
-        station_ids[s]: StationClimatology(float(ybar[s]), fbar[s].copy(), float(xi2[s]))
-        for s in kept_stations
-    }
     return NgrCParams(
         b=b,
         c_raw=float(x_best[0]),
         d_raw=float(x_best[1]),
-        climatology=climatology,
+        station_ids=tuple(station_ids[s] for s in kept_stations),
+        ybar=ybar[kept_stations],
+        fbar=fbar[kept_stations],
+        xi2=xi2[kept_stations],
         ridge=float(ridge),
         converged=converged,
         grad_norm=grad_norm,
@@ -384,56 +361,51 @@ def fit_ngr_c(
     )
 
 
-def predict_ngr_c(params: NgrCParams, station, forecasts) -> GaussianPredictive:
-    """Predictive law at stations carrying a climatology.
+def predict_ngr_c(params: NgrCParams, rows, forecasts) -> GaussianPredictive:
+    """Predictive law at stations carrying a climatology, given by their params rows.
 
-    station (a Station or an id) and its (M,) member forecasts give one law;
-    a sequence of ids, one per row of an (n, M) stack, gives a batch of n
-    laws. Missing members are imputed as in the fit, before the climatology
-    is subtracted.
+    One row (an int) and its station's (M,) member forecasts give one law; an
+    (n,) array of rows and an (n, M) stack, a batch of n laws. Missing members
+    are imputed as in the fit, before the climatology is subtracted.
     """
     filled, s2, count = impute(forecasts)
-    if filled.ndim == 1:
-        station = [station.id if isinstance(station, Station) else station]
-    sids = [str(sid) for sid in station]
-    missing = [sid for sid in sids if sid not in params.climatology]
-    if missing:
-        raise KeyError(f"station {missing[0]!r} has no training climatology; interpolate one first")
     if filled.shape[-1] != params.b.size:
         raise ValueError(f"{filled.shape[-1]} member values for {params.b.size} coefficients")
     if np.any(count == 0):
         raise ValueError("no member forecasts available")
-    clims = [params.climatology[sid] for sid in sids]
-    ybar, xi2 = (np.reshape([getattr(c, k) for c in clims], count.shape) for k in ("ybar", "xi2"))
-    fbar = np.reshape([c.fbar for c in clims], filled.shape)
+    ybar, fbar, xi2 = params.ybar[rows], params.fbar[rows], params.xi2[rows]
     return GaussianPredictive(ybar + row_dot(filled - fbar, params.b), params.c * xi2 + params.d * s2)
 
 
-def interpolate_ngr_c(
-    params: NgrCParams,
-    target: Station,
-    stations: StationSet,
-    power: float = 2.0,
-) -> StationClimatology:
-    """Inverse-distance-weighted climatology for an unobserved location.
+def interpolate_ngr_c(params: NgrCParams, stations: StationSet) -> tuple[NgrCParams, np.ndarray]:
+    """Params with a climatology at every station of the set, and each station's row.
 
-    A target coinciding with a source station returns that station's
-    climatology exactly.
+    A station the fit left out gets the inverse-distance-squared weighted
+    climatology of the set's stations that carry one, in a new row after the
+    params' own; one at a source station's location gets that station's
+    climatology exactly (the mean of them, where several sources share it).
     """
-    sids = [sid for sid in stations.ids if sid in params.climatology]
-    if not sids:
+    index = {sid: k for k, sid in enumerate(params.station_ids)}
+    rows = np.array([index.get(sid, -1) for sid in stations.ids], dtype=int)
+    new = np.flatnonzero(rows < 0)
+    src = np.flatnonzero(rows >= 0)
+    if src.size == 0:
         raise ValueError("no source stations carry a climatology")
-    src = np.array([[stations[stations.index(sid)].x, stations[stations.index(sid)].y] for sid in sids])
-    d = np.hypot(src[:, 0] - target.x, src[:, 1] - target.y)
-    exact = np.nonzero(d < 1e-9)[0]
-    if exact.size:
-        return params.climatology[sids[exact[0]]]
-    w = d ** (-power)
-    w /= w.sum()
-    ybar = float(w @ np.array([params.climatology[s].ybar for s in sids]))
-    fbar = w @ np.stack([params.climatology[s].fbar for s in sids])
-    xi2 = float(w @ np.array([params.climatology[s].xi2 for s in sids]))
-    return StationClimatology(ybar, fbar, xi2)
+    xy = stations.coords
+    d = np.hypot(xy[src, 0] - xy[new, 0, None], xy[src, 1] - xy[new, 1, None])  # (new, src)
+    exact = d < 1e-9
+    w = np.where(exact.any(axis=1, keepdims=True), exact, np.maximum(d, 1e-9) ** -2.0)  # the clamp: no 0 ** -2
+    w /= w.sum(axis=1, keepdims=True)
+    # row by row products, so a station's climatology has the same bits however many are filled at once
+    wide = replace(
+        params,
+        station_ids=params.station_ids + tuple(stations.ids[i] for i in new),
+        ybar=np.concatenate([params.ybar, row_dot(w, params.ybar[rows[src]])]),
+        fbar=np.concatenate([params.fbar, (w[:, None, :] @ params.fbar[rows[src]])[:, 0]]),
+        xi2=np.concatenate([params.xi2, row_dot(w, params.xi2[rows[src]])]),
+    )
+    rows[new] = len(params.station_ids) + np.arange(new.size)
+    return wide, rows
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +436,8 @@ def params_to_json(params, target_day: str, window_days=()) -> dict:
             "d_raw": params.d_raw,
             "ridge": params.ridge,
             "climatology": {
-                sid: {"ybar": c.ybar, "fbar": c.fbar.tolist(), "xi2": c.xi2}
-                for sid, c in sorted(params.climatology.items())
+                sid: {"ybar": float(params.ybar[k]), "fbar": params.fbar[k].tolist(), "xi2": float(params.xi2[k])}
+                for k, sid in enumerate(params.station_ids)
             },
         }
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
@@ -482,15 +454,15 @@ def params_from_json(doc: dict):
             d_raw=float(doc["d_raw"]),
         )
     if method == "ngrc":
-        clim = {
-            sid: StationClimatology(float(c["ybar"]), np.asarray(c["fbar"], dtype=float), float(c["xi2"]))
-            for sid, c in doc["climatology"].items()
-        }
+        clim = doc["climatology"]
         return NgrCParams(
             b=np.asarray(doc["beta"], dtype=float),
             c_raw=float(doc["c_raw"]),
             d_raw=float(doc["d_raw"]),
-            climatology=clim,
+            station_ids=tuple(clim),
+            ybar=[c["ybar"] for c in clim.values()],
+            fbar=[c["fbar"] for c in clim.values()],
+            xi2=[c["xi2"] for c in clim.values()],
             ridge=float(doc.get("ridge", 0.0)),
         )
     raise ValueError(f"unknown method {method!r} in parameter document")

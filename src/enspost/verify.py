@@ -22,7 +22,6 @@ from scipy.linalg import solve_triangular
 from .core import VARIANCE_FLOOR, ForecastFieldSample, GaussianPredictive, _readonly, _unbox, gaussian_cdf
 
 DEFAULT_INTERVAL_LEVEL = 19.0 / 21.0
-SAMPLE_COV_JITTER = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +140,15 @@ def energy_score_ensemble(x, y) -> float:
     return float(term_y - 0.5 * diffs.mean())
 
 
-def spatial_median(points, *, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
+def spatial_median(points) -> np.ndarray:
     """Geometric median by Weiszfeld's iterative reweighting.
 
     Each step gets the squared distances |x_i|^2 - 2 x_i.y + |y|^2 and the
     weighted sum from two einsum passes over the points centred on their
     mean, with no BLAS call, so the result does not depend on the BLAS build
     or its thread count. Iterates that land on a data point take the
-    standard shift step; non-convergence returns the best iterate with a
-    warning.
+    standard shift step. Iteration stops at a step shorter than 1e-8; after
+    1000 steps it returns the last iterate with a warning.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     if x.shape[0] == 1:
@@ -158,7 +157,7 @@ def spatial_median(points, *, tol: float = 1e-8, max_iter: int = 1000) -> np.nda
     xc = x - centre  # the only (n, d) temporary, laid out like x
     sq = np.einsum("ij,ij->i", xc, xc)
     y = np.zeros(x.shape[1])
-    for _ in range(max_iter):
+    for _ in range(1000):
         yy = np.einsum("j,j->", y, y)
         d2 = sq - 2.0 * np.einsum("ij,j->i", xc, y) + yy
         # below 1e-4 of |x_i|^2 + |y|^2 cancellation may cost the expanded
@@ -182,10 +181,10 @@ def spatial_median(points, *, tol: float = 1e-8, max_iter: int = 1000) -> np.nda
                 return y + centre  # the data point itself is the median
             step = min(1.0, eta / r)
             y_new = (1.0 - step) * y_new + step * y
-        if math.hypot(*(y_new - y)) < tol:
+        if math.hypot(*(y_new - y)) < 1e-8:
             return y_new + centre
         y = y_new
-    warnings.warn(f"geometric median did not reach tol {tol} in {max_iter} iterations", stacklevel=2)
+    warnings.warn("geometric median did not reach tol 1e-08 in 1000 iterations", stacklevel=2)
     return y + centre
 
 
@@ -214,7 +213,7 @@ def field_scores(fields, y) -> tuple[float, float]:
     return es, euclidean_error(spatial_median(fields), y)
 
 
-def dawid_sebastiani(mu, cov, y, *, diag_jitter: float = 0.0) -> float:
+def dawid_sebastiani(mu, cov, y) -> float:
     """log det(Sigma) + (y - mu)' Sigma^{-1} (y - mu); smaller is better."""
     mu = np.asarray(mu, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -222,8 +221,6 @@ def dawid_sebastiani(mu, cov, y, *, diag_jitter: float = 0.0) -> float:
     d = mu.size
     if y.size != d or cov.shape != (d, d):
         raise ValueError("mu, y, cov dimensions disagree")
-    if diag_jitter:
-        cov = cov + diag_jitter * np.eye(d)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -244,7 +241,7 @@ def ds_from_sample(fields, y) -> float:
     mu = fields.mean(axis=0)
     xc = fields - mu
     cov = np.einsum("ki,kj->ij", xc, xc) / (fields.shape[0] - 1)  # no BLAS: np.cov's bits vary with its thread count
-    return dawid_sebastiani(mu, cov, y, diag_jitter=SAMPLE_COV_JITTER)
+    return dawid_sebastiani(mu, cov + 1e-5 * np.eye(mu.size), y)
 
 
 def mixture_moments(weights, means, covs) -> tuple[np.ndarray, np.ndarray]:
@@ -277,16 +274,20 @@ def pit(dist, y):
     return _unbox(np.asarray(cdf(y), dtype=float))
 
 
+def tie_broken_ranks(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """1-based ranks of the values of the vector x, ties broken at random by one rng.random(x.size) draw."""
+    order = np.lexsort((rng.random(x.size), x))
+    ranks = np.empty(x.size, dtype=int)
+    ranks[order] = np.arange(1, x.size + 1)
+    return ranks
+
+
 def verification_rank(members, y: float, rng: np.random.Generator) -> int:
     """Rank of the observation within the ensemble, ties broken at random."""
     f = np.asarray(members, dtype=float)
     if f.ndim != 1 or f.size == 0 or np.isnan(f).any():
         raise ValueError("members must be a non-empty vector without missing values")
-    pool = np.concatenate([[float(y)], f])
-    order = np.lexsort((rng.random(pool.size), pool))
-    ranks = np.empty(pool.size, dtype=int)
-    ranks[order] = np.arange(1, pool.size + 1)
-    return int(ranks[0])
+    return int(tie_broken_ranks(np.concatenate([[float(y)], f]), rng)[0])
 
 
 def band_depth_preranks(vectors, rng: np.random.Generator) -> np.ndarray:
@@ -303,20 +304,14 @@ def band_depth_preranks(vectors, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("need at least two vectors")
     pre = np.zeros(n)
     for k in range(d):
-        order = np.lexsort((rng.random(n), x[:, k]))
-        ranks = np.empty(n, dtype=float)
-        ranks[order] = np.arange(1, n + 1)
+        ranks = tie_broken_ranks(x[:, k], rng)
         pre += (n - ranks) * (ranks - 1.0)
     return pre / d + (n - 1.0)
 
 
 def band_depth_rank(vectors, rng: np.random.Generator, obs_index: int = 0) -> int:
     """Rank of one vector's band-depth pre-rank within the set, ties random."""
-    pre = band_depth_preranks(vectors, rng)
-    order = np.lexsort((rng.random(pre.size), pre))
-    ranks = np.empty(pre.size, dtype=int)
-    ranks[order] = np.arange(1, pre.size + 1)
-    return int(ranks[obs_index])
+    return int(tie_broken_ranks(band_depth_preranks(vectors, rng), rng)[obs_index])
 
 
 @dataclass(frozen=True)

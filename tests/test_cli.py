@@ -13,6 +13,7 @@ from enspost.bma import params_from_json, predict_bma
 from enspost.cli import load_fields_csv, main
 from enspost.core import EnsembleDataset, Station, StationSet
 from enspost.experiment import predict_rows, read_params
+from enspost.ngr import predict_ngr_c
 from enspost.ingest import LoadError, data_paths, load_data_dir, load_dataset, save_dataset
 from enspost.verify import ScoreTable
 from tests.conftest import rowwise_csv, rowwise_fields_csv, rowwise_fmt
@@ -126,6 +127,36 @@ class TestFitPredictChain:
         assert main(["verify", "--fields", str(fields), "--data", str(data), "--day", "2024-01-18",
                      "--out", str(tmp_path / "scores")]) == 0
         assert len(ScoreTable.read_csv(tmp_path / "scores" / "verify_scores.csv")) == 3
+
+    def test_ngrc_at_a_station_id_with_a_trailing_nul(self, workspace, tmp_path):
+        """Stations "S1" and "S1\\0" load as two, and ngrc predicts each from its own climatology.
+
+        predict_rows, `enspost predict` and `enspost sample` all reach the
+        "S1\\0" row; a numpy string array of the ids would read it as "S1".
+        """
+        src = load_dataset(*data_paths(workspace / "data"))
+        ids = ("S1", "S1\0") + src.stations.ids[2:]
+        stations = StationSet(Station(sid, s.x, s.y, s.lon, s.lat) for sid, s in zip(ids, src.stations))
+        data, params, pred, fields = tmp_path / "data", tmp_path / "p.json", tmp_path / "pred.csv", tmp_path / "f.csv"
+        data.mkdir()
+        save_dataset(EnsembleDataset(stations, src.days, src.forecasts, src.observations), *data_paths(data))
+        assert main(["fit", "--data", str(data), "--method", "ngrc", "--day", "2024-01-18", "--window", "14",
+                     "--spatial", "grf", "--out", str(params)]) == 0
+        _, method, fitted, _ = read_params(params)
+        assert set(fitted.station_ids) == set(ids)
+        d = load_data_dir(data)
+        fc = d.forecasts[d.day_index("2024-01-18")]
+        rows, law = predict_rows(method, fitted, d.stations, fc)
+        want = [predict_ngr_c(fitted, fitted.station_ids.index(ids[s]), fc[s]) for s in np.flatnonzero(rows)]
+        assert rows[:2].all() and law.mean.tolist() == [w.mean for w in want]
+        assert law.mean[0] != law.mean[1]
+
+        assert main(["predict", "--data", str(data), "--params", str(params), "--out", str(pred)]) == 0
+        assert pred.read_bytes().startswith(b"station_id,mean,sd\r\nS1,")
+        assert f"\r\nS1\0,{float(law.mean[1])!r},{float(law.sd[1])!r}\r\n".encode() in pred.read_bytes()
+        assert main(["sample", "--data", str(data), "--params", str(params), "--spatial", "grf",
+                     "--n", "30", "--out", str(fields), "--seed", "2"]) == 0
+        assert load_fields_csv(fields).station_order == tuple(ids[s] for s in np.flatnonzero(rows))
 
     def test_sample_modes_and_provenance(self, workspace):
         data = workspace / "data"

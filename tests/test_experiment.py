@@ -392,20 +392,21 @@ def test_ngrc_fit_standardization_and_prediction_share_one_imputation():
     fc[k, s, [1, 4, 6]] = np.nan
     data = EnsembleDataset(data.stations, data.days, fc, data.observations)
     params = fit_ngr_c(data, window)
-    clim = params.climatology[data.stations.ids[s]]
+    c = params.station_ids.index(data.stations.ids[s])
 
     _, F, S2, s_rows, t_rows = _training_rows(data, window)
     (row,) = np.flatnonzero((s_rows == s) & (t_rows == k))
-    fit_mean = clim.ybar + (F[row] - clim.fbar) @ params.b
-    fit_var = params.c * clim.xi2 + params.d * S2[row]
+    fit_mean = params.ybar[c] + (F[row] - params.fbar[c]) @ params.b
+    fit_var = params.c * params.xi2[c] + params.d * S2[row]
 
     mu, sigma = _moment_panels("ngrc", params, data, window)
-    pred = predict_ngr_c(params, data.stations.ids[s], fc[k, s])
+    pred = predict_ngr_c(params, c, fc[k, s])
     assert mu[k, s] == pred.mean == fit_mean
     assert sigma[k, s] == pred.sd
     assert pred.variance == fit_var
     F = data.training_panels(window)[0]
-    laws = [[predict_ngr_c(params, sid, F[t, j]) for j, sid in enumerate(data.stations.ids)] for t in range(len(window))]
+    rows = [params.station_ids.index(sid) for sid in data.stations.ids]
+    laws = [[predict_ngr_c(params, rows[j], F[t, j]) for j in range(data.n_stations)] for t in range(len(window))]
     assert mu.tolist() == [[law.mean for law in row] for row in laws]
     assert sigma.tolist() == [[law.sd for law in row] for row in laws]
 
@@ -428,6 +429,6 @@ def test_standardization_moments_are_each_rows_predictive_law(method):
                 if method == "ngr+":
                     law = predict_ngr_plus(params, F[t, j])
                 else:
-                    law = predict_ngr_c(params, sid, F[t, j])
+                    law = predict_ngr_c(params, params.station_ids.index(sid), F[t, j])
                 mismatched += int(mu[t, j] != law.mean) + int(sigma[t, j] != law.sd)
     assert mismatched == 0

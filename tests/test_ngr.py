@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enspost.core import GaussianPredictive, Station, TrainingWindow, impute
+from enspost.core import GaussianPredictive, Station, StationSet, TrainingWindow, impute
 from enspost.ngr import (
     NgrPlusParams,
     crps_gaussian,
@@ -168,51 +168,62 @@ class TestFitNgrC:
     def test_fit_produces_climatology_per_station(self):
         data = self.make_data()
         params = fit_ngr_c(data, last_window(data))
-        assert set(params.climatology) == set(data.stations.ids)
+        assert set(params.station_ids) == set(data.stations.ids)
         assert params.converged
-        for clim in params.climatology.values():
-            assert clim.xi2 > 0
+        for xi2 in params.xi2:
+            assert xi2 > 0
 
     def test_prediction_centers_on_climatology_plus_anomaly(self):
         data = self.make_data()
         window = last_window(data)
         params = fit_ngr_c(data, window)
-        sid = data.stations.ids[0]
-        clim = params.climatology[sid]
-        fc = np.array([clim.fbar[0] + 1.0, clim.fbar[1] + 1.0, clim.fbar[2] + 1.0])
-        dist = predict_ngr_c(params, sid, fc)
-        want_mean = clim.ybar + float(np.dot(params.b, fc - clim.fbar))
+        k = params.station_ids.index(data.stations.ids[0])
+        ybar, fbar, xi2 = params.ybar[k], params.fbar[k], params.xi2[k]
+        fc = np.array([fbar[0] + 1.0, fbar[1] + 1.0, fbar[2] + 1.0])
+        dist = predict_ngr_c(params, k, fc)
+        want_mean = ybar + float(np.dot(params.b, fc - fbar))
         assert dist.mean == pytest.approx(want_mean, abs=1e-12)
         s2 = float(np.var(fc, ddof=1))
-        assert dist.variance == pytest.approx(params.c * clim.xi2 + params.d * s2, abs=1e-12)
+        assert dist.variance == pytest.approx(params.c * xi2 + params.d * s2, abs=1e-12)
 
     def test_station_with_too_few_observations_excluded(self):
         data = self.make_data()
         obs = np.array(data.observations)
         obs[:-1, 0] = np.nan  # station 1 keeps a single usable day
         broken = type(data)(data.stations, data.days, data.forecasts, obs)
-        params = fit_ngr_c(broken, last_window(broken), min_station_obs=5)
-        assert data.stations.ids[0] not in params.climatology
-        with pytest.raises(KeyError):
-            predict_ngr_c(params, data.stations.ids[0], np.zeros(3))
+        params = fit_ngr_c(broken, last_window(broken))
+        assert data.stations.ids[0] not in params.station_ids
+        _, rows = interpolate_ngr_c(params, data.stations)
+        assert rows[0] == len(params.station_ids)  # predicting there takes an interpolated row
 
     def test_interpolation_inverse_distance_squared(self):
         data = self.make_data()
         params = fit_ngr_c(data, last_window(data))
         target = Station("NEW", 250.0, 250.0)
-        clim = interpolate_ngr_c(params, target, data.stations)
+        wide, rows = interpolate_ngr_c(params, StationSet([*data.stations, target]))
         d = np.array([np.hypot(st.x - 250.0, st.y - 250.0) for st in data.stations])
         w = 1.0 / d**2
         w /= w.sum()
-        want_ybar = float(sum(wi * params.climatology[sid].ybar for wi, sid in zip(w, data.stations.ids)))
-        assert clim.ybar == pytest.approx(want_ybar, abs=1e-10)
+        want_ybar = float(sum(wi * params.ybar[k] for wi, k in zip(w, rows[:-1])))
+        assert wide.ybar[rows[-1]] == pytest.approx(want_ybar, abs=1e-10)
 
     def test_interpolation_at_station_returns_its_climatology(self):
         data = self.make_data()
         params = fit_ngr_c(data, last_window(data))
         st0 = data.stations[0]
-        clim = interpolate_ngr_c(params, Station("COPY", st0.x, st0.y), data.stations)
-        assert clim.ybar == pytest.approx(params.climatology[st0.id].ybar)
+        wide, rows = interpolate_ngr_c(params, StationSet([*data.stations, Station("COPY", st0.x, st0.y)]))
+        assert wide.ybar[rows[-1]] == pytest.approx(params.ybar[rows[0]])
+
+    def test_interpolated_bits_do_not_depend_on_how_many_are_filled(self):
+        data = self.make_data()
+        params = fit_ngr_c(data, last_window(data))
+        targets = [Station("NEW1", 250.0, 250.0), Station("NEW2", 100.0, 400.0), Station("NEW3", 420.0, 30.0)]
+        wide, rows = interpolate_ngr_c(params, StationSet([*data.stations, *targets]))
+        for j, target in enumerate(targets):
+            alone, alone_rows = interpolate_ngr_c(params, StationSet([*data.stations, target]))
+            k, k_alone = rows[data.n_stations + j], alone_rows[-1]
+            assert wide.ybar[k] == alone.ybar[k_alone] and wide.xi2[k] == alone.xi2[k_alone]
+            assert wide.fbar[k].tolist() == alone.fbar[k_alone].tolist()
 
     def test_json_round_trip(self):
         data = self.make_data()
@@ -222,8 +233,9 @@ class TestFitNgrC:
         assert back.d == pytest.approx(params.d)
         np.testing.assert_allclose(back.b, params.b)
         sid = data.stations.ids[0]
-        assert back.climatology[sid].ybar == pytest.approx(params.climatology[sid].ybar)
-        np.testing.assert_allclose(back.climatology[sid].fbar, params.climatology[sid].fbar)
+        k, k_back = params.station_ids.index(sid), back.station_ids.index(sid)
+        assert back.ybar[k_back] == pytest.approx(params.ybar[k])
+        np.testing.assert_allclose(back.fbar[k_back], params.fbar[k])
 
 
 class TestWarmStart:
