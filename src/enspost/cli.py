@@ -114,18 +114,21 @@ def cmd_verify(args) -> int:
     data = load_data_dir(args.data)
     sample = load_fields_csv(args.fields)
     day = args.day
-    t = data.day_index(day)
-    idx = [data.stations.index(sid) for sid in sample.station_order]
-    y = data.observations[t][idx]
-    if np.isnan(y).any():
-        raise ValueError(f"missing observations on {day} for stations in the fields file")
+    y = data.observations[data.day_index(day)][[data.stations.index(sid) for sid in sample.station_order]]
+    seen = ~np.isnan(y)
+    if not seen.any():
+        raise ValueError(f"no station in the fields file has an observation on {day}")
+    if not seen.all():  # scored as run_experiment scores a day: over the stations observed
+        log.warning("%d of %d stations in the fields file have no observation on %s; scoring the other %d",
+                    len(y) - seen.sum(), len(y), day, seen.sum())
+    fields, y = np.compress(seen, sample.fields, axis=1), y[seen]  # C order, as a file of those stations loads
 
     table = verify_mod.ScoreTable()
-    es, ee = verify_mod.field_scores(sample.fields, y)
+    es, ee = verify_mod.field_scores(fields, y)
     table.add(day, "field", sample.provenance, "es", es)
     table.add(day, "field", sample.provenance, "ee", ee)
     if sample.n_samples >= 2:
-        table.add(day, "field", sample.provenance, "ds", verify_mod.ds_from_sample(sample.fields, y))
+        table.add(day, "field", sample.provenance, "ds", verify_mod.ds_from_sample(fields, y))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "verify_scores.csv")

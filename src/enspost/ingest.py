@@ -11,6 +11,8 @@ fields.csv        sample,station_id,value_c,provenance  (sample is 1-based; writ
 Missing values are empty fields; absent rows mean the same thing. Duplicate
 keys are load errors that name the offending line; in fields.csv, a station
 listed twice in one sample is an error that names the sample and station.
+The loaders stream each file in chunks of _CHUNK_ROWS rows and convert each
+distinct text once: parse memory is a chunk of cells plus a few bytes a row.
 
 write_csv writes these files and the `station_id,mean,sd` file of `enspost
 predict`: text cells are quoted as csv.writer quotes them, values are
@@ -25,7 +27,7 @@ arrays back instead of parsing. The cache may be deleted at any time.
 
 from __future__ import annotations
 
-import bisect
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -35,8 +37,10 @@ import json
 import locale
 import logging
 import math
+import operator
 import os
 import tempfile
+import types
 import warnings
 import zipfile
 from pathlib import Path
@@ -53,32 +57,60 @@ class LoadError(ValueError):
     """Raised when an input file violates its schema."""
 
 
-def _columns(path, header):
-    """Stripped columns of a CSV file whose first record must be `header`.
+def _read(path, header, kinds, raw=False):
+    """The columns of a CSV file whose first record must be `header`, read _CHUNK_ROWS records at a time.
 
-    Also returns line(i), the line of data row i (blank records are skipped
-    but counted, as csv.reader counts them), and the field-count check for
-    _raise_first: reading stops at the first row of the wrong width.
+    Cells are stripped unless `raw`; blank records are skipped. A "text" column becomes each cell's code in
+    lookup[k], its distinct texts in order of appearance; "int" the slot of int(cell) in ints[k], -1 where int()
+    fails; "float" float64 values ('' is NaN unless `raw`). Also returns a namespace of lookup, ints, bad[k]
+    (the first row whose cell k does not convert, with its cells), line(i) (the line of data row i) and
+    width_check (the row of another width, where reading stopped, for _raise_first).
     """
-    width, flat, blanks, check = len(header), [], [], (None, None)
+    width, stride, start = len(header), len(header) + 1, 0
+    info = types.SimpleNamespace(lookup=[{} for _ in kinds], ints=[[] for _ in kinds], bad=[(None, None)] * width,
+                                 line=lambda i: _line(path, i), width_check=(None, None))
+    chunks = [[np.empty(0, float if kind == "float" else np.int32)] for kind in kinds]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         head = next(reader, None)
+        if raw and (head is None or tuple(head) != tuple(header)):
+            raise LoadError(f"{path}: expected header {','.join(header)}")
         if head is None:
             raise LoadError(f"{path}: empty file")
-        head = [h.strip() for h in head]
-        if head != list(header):
-            raise LoadError(f"{path}: header {head!r} does not match {list(header)!r}")
-        for row in reader:
-            if len(row) == width:
-                flat.extend(row)
-            elif row:
-                check = (len(flat) // width, lambda i, n=len(row): f"expected {width} fields, got {n}")
+        if [h.strip() for h in head] != list(header):
+            raise LoadError(f"{path}: header {[h.strip() for h in head]!r} does not match {list(header)!r}")
+        # flat cells, each record's closed by None: no row list outlives its parse to set off the garbage collector
+        records = map(operator.add, filter(None, reader), itertools.repeat([None]))
+        while cells := list(itertools.chain.from_iterable(itertools.islice(records, _CHUNK_ROWS))):
+            n = cells.count(None)
+            if not len(cells) == stride * n == stride * cells[width::stride].count(None):
+                n = 0  # the records before the first of another width, where reading stops
+                while cells.index(None, n * stride) == n * stride + width:
+                    n += 1
+                got = cells.index(None, n * stride) - n * stride
+                info.width_check = (start + n, lambda i: f"expected {width} fields, got {got}")
+            cols = [cells[k:n * stride:stride] for k in range(width)]
+            if not raw:
+                cols = [list(map(str.strip, c)) for c in cols]
+            for k, column in enumerate(cols):
+                if kinds[k] == "float":
+                    values, hit = _floats(column, not raw)
+                else:
+                    values = _encode(column, info.lookup[k], info.ints[k] if kinds[k] == "int" else None)
+                    hit = _first(values < 0)
+                chunks[k].append(values)
+                if hit is not None and info.bad[k][0] is None:
+                    info.bad[k] = (start + hit, [c[hit] for c in cols])
+            start += n
+            if info.width_check[0] is not None:
                 break
-            else:
-                blanks.append(len(flat) // width)
-    cols = [list(map(str.strip, flat[c::width])) for c in range(width)]
-    return cols, lambda i: i + 2 + bisect.bisect_right(blanks, i), check
+    return [np.concatenate(chunks.pop(0)) for _ in kinds], info  # each column's chunks freed as it is joined
+
+
+def _line(path, i):
+    """The line of data row i of a CSV file, counting records as csv.reader does, blank ones included."""
+    with open(path, newline="") as fh:
+        return next(itertools.islice((n for n, row in enumerate(csv.reader(fh), 1) if row), i + 1, None))
 
 
 def _raise_first(path, line, checks):
@@ -100,46 +132,66 @@ def _first(mask):
 
 def _codes(cells, index):
     """index[cell] for each cell, -1 where the cell is not a key."""
-    return np.fromiter(map(index.get, cells, itertools.repeat(-1)), np.intp, len(cells))
+    return np.fromiter(map(index.get, cells, itertools.repeat(-1)), np.int32, len(cells))
+
+
+def _encode(cells, index, ints=None):
+    """index[cell] for each cell; a new text's code, added in order of appearance, is its position in index,
+    or with `ints` the slot of its int() value in ints (-1 where int() fails)."""
+    for t in dict.fromkeys(cells):
+        if t not in index and ints is None:
+            index[t] = len(index)
+        elif t not in index:
+            try:
+                ints.append(int(t))
+                index[t] = len(ints) - 1
+            except ValueError:
+                index[t] = -1
+    return _codes(cells, index)
 
 
 def _repeat(keys):
     """First index whose key equals an earlier one, or None."""
     order = np.argsort(keys, kind="stable")
-    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    ordered = keys[order]
+    later = order[1:][ordered[1:] == ordered[:-1]]
     return int(later.min()) if later.size else None
 
 
-def _floats(cells, empty):
-    """float of each cell (`empty` for ''), stopping at the first bad cell: (values, its index or None)."""
-    values = []
+def _floats(cells, blank_nan):
+    """float of each cell ('' is NaN if blank_nan) and the index of the first bad cell or None; NaN from there on."""
+    if blank_nan:
+        cells = list(map({"": "nan"}.get, cells, cells))
     try:
-        for t in cells:
-            values.append(float(t) if t else empty)
+        return np.fromiter(map(float, cells), float, len(cells)), None
     except ValueError:
-        return values, len(values)
-    return values, None
+        values = []
+        with contextlib.suppress(ValueError):
+            for t in cells:
+                values.append(float(t))
+        return np.array(values + [math.nan] * (len(cells) - len(values))), len(values)
 
 
 def load_stations(path) -> StationSet:
-    (sid, *text), line, width_check = _columns(path, ("station_id", "lon", "lat", "x_km", "y_km"))
+    columns, table = _read(path, ("station_id", "lon", "lat", "x_km", "y_km"), ("text",) * 5)
+    sid, *text = [list(map(list(texts).__getitem__, codes.tolist())) for codes, texts in zip(columns, table.lookup)]
     checks = [
-        width_check,
+        table.width_check,
         (_first([s == "" for s in sid]), lambda i: "empty station id"),
-        (_repeat(_codes(sid, {s: i for i, s in enumerate(sid)})), lambda i: f"duplicate station id {sid[i]!r}"),
+        (_repeat(columns[0]), lambda i: f"duplicate station id {sid[i]!r}"),
     ]
     coords = []
     for name, cells in zip(("lon", "lat", "x_km", "y_km"), text):
-        values, bad = _floats(cells, None)
+        values, bad = _floats(cells, True)
         if name in ("x_km", "y_km"):
             checks.append((_first([t == "" for t in cells]), lambda i, name=name: f"missing {name}"))
         checks.append((bad, lambda i, name=name, cells=cells: f"bad {name} {cells[i]!r}"))
-        coords.append(values)
+        coords.append([None if t == "" else v for t, v in zip(cells, values.tolist())])
     lon, lat, x, y = coords
     # Station() checks its own coordinates: in row order, before a later row's error
     end = min((row for row, _ in checks if row is not None), default=len(sid))
     stations = [Station(sid[i], x[i], y[i], lon[i], lat[i]) for i in range(end)]
-    _raise_first(path, line, checks)
+    _raise_first(path, table.line, checks)
     if not stations:
         raise LoadError(f"{path}: no stations")
     return StationSet(stations)
@@ -148,41 +200,34 @@ def load_stations(path) -> StationSet:
 def _read_table(path, header, sindex):
     """Checked rows of a forecast or observation file.
 
-    Returns the file's sorted dates and, per row, its date's position among
+    Returns the file's distinct dates and, per row, its date's code among
     them, its station index, its member (None for observations) and its
     value (NaN where empty).
     """
-    cols, line, width_check = _columns(path, header)
-    date, sid, text = cols[0], cols[1], cols[-1]
-    dates = sorted(set(date))
-    day = _codes(date, {d: i for i, d in enumerate(dates)})
-    station = _codes(sid, sindex)
+    (day, sid, *code, values), table = _read(path, header, ("text", "text", "int")[:len(header) - 1] + ("float",))
+    dates, ids = list(table.lookup[0]), list(table.lookup[1])
+    station = _codes(ids, sindex)[sid]
     valid = station >= 0
-    checks = [width_check, (_first(~valid), lambda i: f"unknown station id {sid[i]!r}")]
-    key, member, what = day * len(sindex) + station, None, "(date, station)"
-    if len(cols) == 4:
-        numbers = {}  # int() once per distinct member text
-        for t in set(cols[2]):
-            with contextlib.suppress(ValueError):
-                numbers[t] = int(t)
-        member = np.fromiter(map(numbers.get, cols[2], itertools.repeat(math.nan)), float, len(date))
+    checks = [table.width_check, (_first(~valid), lambda i: f"unknown station id {ids[sid[i]]!r}")]
+    key, member, what = day.astype(np.int64) * len(sindex) + station, None, "(date, station)"
+    if len(header) == 4:
+        code, ints = code[0], table.ints[2]
+        member = np.array(ints + [math.nan], dtype=float)[code]  # a bad member's code -1 picks the NaN
         checks += [
-            (_first(np.isnan(member)), lambda i: f"bad member {cols[2][i]!r}"),
-            (_first(member < 1), lambda i: f"member must be 1-based, got {numbers[cols[2][i]]}"),
+            (table.bad[2][0], lambda i: f"bad member {table.bad[2][1][2]!r}"),
+            (_first(member < 1), lambda i: f"member must be 1-based, got {ints[code[i]]}"),
         ]
         valid &= member >= 1
-        key = key * np.max(member, where=valid, initial=1) + member - 1  # exact below 2**53
+        key = key * np.max(member, where=valid, initial=1) + member  # exact below 2**53
         what = "(date, station, member)"
-    rows = np.flatnonzero(valid)
-    repeat = _repeat(key[rows])
-    values, bad_value = _floats(text, math.nan)
+    key[~valid] = -1 - np.flatnonzero(~valid)  # keys >= 0 are valid rows'; these repeat none
     checks += [
-        (None if repeat is None else int(rows[repeat]),
-         lambda i: f"duplicate {what} {(date[i], sid[i]) + (() if member is None else (numbers[cols[2][i]],))!r}"),
-        (bad_value, lambda i: f"bad value_c {text[i]!r}"),
+        (_repeat(key), lambda i: f"duplicate {what} "
+                                 f"{(dates[day[i]], ids[sid[i]]) + (() if member is None else (ints[code[i]],))!r}"),
+        (table.bad[-1][0], lambda i: f"bad value_c {table.bad[-1][1][-1]!r}"),
     ]
-    _raise_first(path, line, checks)
-    return dates, day, station, member, np.array(values)
+    _raise_first(path, table.line, checks)
+    return dates, day, station, member, values
 
 
 def load_dataset(stations_path, forecasts_path, observations_path) -> EnsembleDataset:
@@ -235,8 +280,9 @@ def _digest(path) -> bytes:
 
 
 def _content_key(paths) -> str:
-    # the parse reads the CSVs as text in the locale's encoding, so the same bytes may parse otherwise under another
-    h = hashlib.sha256(locale.getpreferredencoding(False).encode())
+    # the parse reads the CSVs as text in the locale's encoding, so the same bytes may parse otherwise under
+    # another; its codec's name, since 'UTF-8' (a C.UTF-8 child) and 'utf-8' (its UTF-8-mode parent) are one
+    h = hashlib.sha256(codecs.lookup(locale.getpreferredencoding(False)).name.encode())
     for path in (*_PARSER_SOURCES, *paths):
         h.update(_digest(path))
     return h.hexdigest()
@@ -248,7 +294,7 @@ def _read_cache(path, key):
     The arrays go through the Station, StationSet and EnsembleDataset
     constructors, so their checks run on a hit as on a parse.
     """
-    with np.load(path, allow_pickle=False) as z:
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:  # np.load(path) leaks the file when it raises
         meta = json.loads(z["meta"].tobytes())
         if meta["key"] != key:
             return None
@@ -311,7 +357,7 @@ def load_data_dir(root) -> EnsembleDataset:
 
 
 FIELDS_HEADER = ("sample", "station_id", "value_c", "provenance")
-_CHUNK_ROWS = 4096  # rows joined into one string per write
+_CHUNK_ROWS = 4096  # rows joined into one string per write, and converted at once per read
 
 
 def _text_cells(cells) -> list[str]:
@@ -371,43 +417,33 @@ def save_fields_csv(sample: ForecastFieldSample, path) -> None:
 
 
 def load_fields_csv(path) -> ForecastFieldSample:
-    """Read a fields CSV back into a sample; inverse of save_fields_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != FIELDS_HEADER:
-            raise LoadError(f"{path}: expected header {','.join(FIELDS_HEADER)}")
-        per_sample: dict = {}
-        provenance = None
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(FIELDS_HEADER):
-                raise LoadError(f"{path} line {reader.line_num}: expected {len(FIELDS_HEADER)} fields, got {len(row)}")
-            try:
-                idx, value = int(row[0]), float(row[2])
-            except ValueError:
-                raise LoadError(
-                    f"{path} line {reader.line_num}: bad sample number {row[0]!r} or value {row[2]!r}"
-                ) from None
-            per_sample.setdefault(idx, []).append((row[1], value))
-            if provenance is None:
-                provenance = row[3]
-            elif provenance != row[3]:
-                raise LoadError(f"{path}: mixed provenance values")
-    if not per_sample:
+    """Read a fields CSV back into a sample; inverse of save_fields_csv. Samples are ordered by number; each
+    keeps its rows' file order, which must list the stations of the lowest-numbered sample in its order."""
+    (slot, sid, values, provenance), table = _read(path, FIELDS_HEADER, ("int", "text", "float", "text"), raw=True)
+    bad = min(table.bad[0], table.bad[2], key=lambda b: math.inf if b[0] is None else b[0])
+    mixed = _first(provenance != 0)
+    if mixed is not None and (bad[0] is None or mixed < bad[0]):  # no row is read past width_check's
+        raise LoadError(f"{path}: mixed provenance values")
+    _raise_first(path, table.line, [table.width_check,
+                                    (bad[0], lambda i: f"bad sample number {bad[1][0]!r} or value {bad[1][2]!r}")])
+    if not values.size:
         raise LoadError(f"{path}: no field rows")
-    first = min(per_sample)
-    order = tuple(sid for sid, _ in per_sample[first])
-    if len(set(order)) != len(order):
-        twice = next(sid for k, sid in enumerate(order) if sid in order[:k])
-        raise LoadError(f"{path}: sample {first} lists station {twice!r} more than once")
-    fields = np.empty((len(per_sample), len(order)))
-    for k, (idx, rows) in enumerate(sorted(per_sample.items())):
-        if tuple(sid for sid, _ in rows) != order:
-            raise LoadError(f"{path}: sample {idx} has a different station order")
-        fields[k] = [v for _, v in rows]
-    return ForecastFieldSample(order, fields, provenance)
+    numbers = sorted(set(table.ints[0]))
+    rank = {number: r for r, number in enumerate(numbers)}
+    key = np.array([rank[n] for n in table.ints[0]], dtype=np.int32)[slot]
+    counts, order = np.bincount(key), np.argsort(key, kind="stable")
+    del slot, key, provenance  # freed before the reorder
+    sid, values = sid[order], values[order]
+    first, n = sid[:counts[0]], int(counts[0])
+    twice = _repeat(first)
+    ids = list(table.lookup[1])
+    if twice is not None:
+        raise LoadError(f"{path}: sample {numbers[0]} lists station {ids[first[twice]]!r} more than once")
+    full = _first(np.append(counts != n, True))  # samples with n rows lead; the next, if any, has another order
+    wrong = _first(np.append((sid[:full * n].reshape(full, n) != first).any(axis=1), full < len(counts)))
+    if wrong is not None:
+        raise LoadError(f"{path}: sample {numbers[wrong]} has a different station order")
+    return ForecastFieldSample(tuple(ids[c] for c in first), values.reshape(-1, n), next(iter(table.lookup[3])))
 
 
 def rolling_windows(dataset: EnsembleDataset, window_length: int = 25) -> list[TrainingWindow]:

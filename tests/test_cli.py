@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import logging
 import warnings
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -11,10 +12,11 @@ import pytest
 from enspost import cli, ingest
 from enspost.bma import params_from_json, predict_bma
 from enspost.cli import load_fields_csv, main
-from enspost.core import EnsembleDataset, Station, StationSet
+from enspost.core import EnsembleDataset, ForecastFieldSample, Station, StationSet
 from enspost.experiment import predict_rows, read_params
 from enspost.ngr import predict_ngr_c
-from enspost.ingest import LoadError, data_paths, load_data_dir, load_dataset, save_dataset
+from enspost.synth import default_spec, generate
+from enspost.ingest import LoadError, data_paths, load_data_dir, load_dataset, save_dataset, save_fields_csv
 from enspost.verify import ScoreTable
 from tests.conftest import rowwise_csv, rowwise_fields_csv, rowwise_fmt
 
@@ -244,6 +246,60 @@ class TestFitPredictChain:
         table = ScoreTable.read_csv(out / "verify_scores.csv")
         assert table.values("independent", "es")[0] == pytest.approx(0.0, abs=1e-12)
         assert table.values("independent", "ee")[0] == pytest.approx(0.0, abs=1e-8)
+
+
+class TestVerifyMissingObservations:
+    """verify scores the stations observed on the day, as run_experiment does."""
+
+    DAY = "2024-01-31"
+    BLANK = (3, 17)
+
+    @pytest.fixture(scope="class")
+    def gapped(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gapped")
+        data = generate(default_spec(5, n_stations=40, n_days=40))
+        obs = data.observations.copy()
+        obs[data.day_index(self.DAY), list(self.BLANK)] = np.nan
+        save_dataset(EnsembleDataset(data.stations, data.days, data.forecasts, obs), *data_paths(root))
+        return root, [data.stations.ids[s] for s in self.BLANK]
+
+    def sample(self, data, tmp_path, method, spatial):
+        params, fields = tmp_path / "params.json", tmp_path / "fields.csv"
+        assert main(["fit", "--data", str(data), "--method", method, "--day", self.DAY,
+                     "--spatial", "none" if spatial == "ecc" else spatial, "--out", str(params)]) == 0
+        assert main(["sample", "--data", str(data), "--params", str(params), "--spatial", spatial,
+                     "--n", "50", "--out", str(fields), "--seed", "3"]) == 0
+        return load_fields_csv(fields), fields
+
+    def verify(self, data, fields, out):
+        return main(["verify", "--fields", str(fields), "--data", str(data), "--day", self.DAY, "--out", str(out)])
+
+    @pytest.mark.parametrize("method, spatial", [("ngr+", "grf"), ("ngrc", "ecc"), ("bma", "spatial-bma")])
+    def test_scores_equal_those_of_the_observed_stations_alone(self, gapped, tmp_path, caplog, method, spatial):
+        data, blank = gapped
+        sample, fields = self.sample(data, tmp_path, method, spatial)
+        keep = [j for j, sid in enumerate(sample.station_order) if sid not in blank]
+        assert len(keep) == len(sample.station_order) - 2
+        cut = tmp_path / "observed.csv"
+        save_fields_csv(ForecastFieldSample([sample.station_order[j] for j in keep], sample.fields[:, keep],
+                                            sample.provenance), cut)
+        with caplog.at_level(logging.WARNING, logger="enspost.cli"):
+            assert self.verify(data, fields, tmp_path / "got") == 0
+        assert f"2 of 40 stations in the fields file have no observation on {self.DAY}; scoring the other 38" \
+            in caplog.text
+        assert self.verify(data, cut, tmp_path / "want") == 0
+        got = (tmp_path / "got" / "verify_scores.csv").read_bytes()
+        assert got == (tmp_path / "want" / "verify_scores.csv").read_bytes()
+        assert len(ScoreTable.read_csv(tmp_path / "got" / "verify_scores.csv")) == 3
+
+    def test_no_observed_station_is_refused(self, gapped, tmp_path, capsys):
+        data, blank = gapped
+        sample, _ = self.sample(data, tmp_path, "ngr+", "none")
+        cols = [sample.station_order.index(sid) for sid in blank]
+        unseen = tmp_path / "unseen.csv"
+        save_fields_csv(ForecastFieldSample(blank, sample.fields[:, cols], sample.provenance), unseen)
+        assert self.verify(data, unseen, tmp_path / "scores") == 1
+        assert f"error: no station in the fields file has an observation on {self.DAY}" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

@@ -1,6 +1,9 @@
+import gc
 import os
 import re
 import shutil
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +137,16 @@ class TestLoadErrors:
         "forecast_file_before_observation_file": (FC_HEAD + "d1,A,1,1.0\nd1,A,1,2.0\n",
                                                   OB_HEAD + "d1,Z,1.0\n",
                                                   "f.csv line 3: duplicate (date, station, member) ('d1', 'A', 1)"),
+        "blank_lines_across_chunks": (FC_HEAD + "d1,A,1,1.0\n\n\nd1,B,1,2.0\n\nd1,A,2,3.0\n\nd1,Z,1,4.0\n", OB_HEAD,
+                                      "f.csv line 9: unknown station id 'Z'"),
+        "duplicate_split_across_chunks": (FC_HEAD + "d1,A,1,1.0\nd1,B,1,2.0\nd1,A,2,3.0\nd1,B,2,4.0\nd1, A ,1,5.0\n",
+                                          OB_HEAD, "f.csv line 6: duplicate (date, station, member) ('d1', 'A', 1)"),
+        "bad_value_in_a_chunks_last_row": (FC_HEAD + "d1,A,1,1.0\nd1,B,1,2.0\nd1,A,2,x\nd1,B,2,y\n", OB_HEAD,
+                                           "f.csv line 4: bad value_c 'x'"),
+        "bad_member_in_a_chunks_last_row": (FC_HEAD + "d1,A,1,1.0\nd1,B,m,2.0\nd1,A,n,3.0\n", OB_HEAD,
+                                            "f.csv line 3: bad member 'm'"),
+        "field_count_after_a_blank": (FC_HEAD + "d1,A,1,1.0\nd1,B,1,2.0\n\nd1,A\nd1,Z,1,3.0\n", OB_HEAD,
+                                      "f.csv line 5: expected 4 fields, got 2"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -372,6 +385,26 @@ class TestDataDirCache:
         assert fingerprint(load_data_dir(tmp_path)) == fingerprint(first)
         assert ingest._content_key(paths) == ingest._content_key(paths)
 
+    def test_key_names_the_codec_not_its_spelling(self, tmp_path, monkeypatch):
+        # a UTF-8-mode parent reports 'utf-8', its C.UTF-8 child 'UTF-8'
+        paths = write_season(tmp_path)
+        keys = {}
+        for name in ("UTF-8", "utf-8", "latin-1"):
+            monkeypatch.setattr(ingest.locale, "getpreferredencoding", lambda do_setlocale=True, name=name: name)
+            keys[name] = ingest._content_key(paths)
+        assert keys["UTF-8"] == keys["utf-8"] != keys["latin-1"]
+
+    def test_truncated_cache_leaves_no_file_open(self, tmp_path):
+        paths = write_season(tmp_path)
+        load_data_dir(tmp_path)
+        cache = tmp_path / CACHE_FILE
+        cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert fingerprint(load_data_dir(tmp_path)) == fingerprint(load_dataset(*paths))
+            gc.collect()
+        assert [w for w in seen if issubclass(w.category, ResourceWarning)] == []
+
     def test_bad_csv_raises_the_same_error_every_call(self, tmp_path):
         paths = write_season(tmp_path)
         paths[2].write_text(paths[2].read_text() + "2024-01-01,S1,warm\n")
@@ -382,6 +415,115 @@ class TestDataDirCache:
                 load_data_dir(tmp_path)
             assert str(got.value) == str(parsed.value)
         assert not (tmp_path / CACHE_FILE).exists()
+
+
+FIELDS_HEAD = "sample,station_id,value_c,provenance\n"
+CHUNK_ROWS = [1, 2, 3, None]  # None: the default
+
+
+@pytest.fixture(params=CHUNK_ROWS, ids=lambda n: f"chunk{n or 'default'}")
+def chunk_rows(request, monkeypatch):
+    if request.param:
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", request.param)
+    return ingest._CHUNK_ROWS
+
+
+def traced_peak(load):
+    """Peak bytes that tracemalloc sees while load() runs, its result included."""
+    load()  # first-call imports and caches are not the parse's
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedReader:
+    """Every load gives the same arrays and the same error, on the same line, whatever the chunk size."""
+
+    @pytest.mark.parametrize("case", sorted(TestLoadErrors.CASES))
+    def test_load_error(self, tmp_path, chunk_rows, case):
+        forecasts, observations, expected = TestLoadErrors.CASES[case]
+        with pytest.raises(LoadError) as got:
+            load_dataset(*write_files(tmp_path, forecasts, observations))
+        assert str(got.value) == f"{tmp_path}/{expected}"
+
+    @pytest.mark.parametrize("stations, expected", [
+        ("A,,,0,0\n\n ,,,1,1\n", "line 4: empty station id"),
+        ("A,,,0,0\nB,,,1,1\nC,,,2,2\n A ,,,3,3\n", "line 5: duplicate station id 'A'"),
+        ("A,,,0,0\nB,,,1,\n", "line 3: missing y_km"),
+        ("A,,,0,0\nB,,,1,1\nC,x,,2,2\n", "line 4: bad lon 'x'"),
+        ("A,,,0,0\n\nB,,,1\n", "line 4: expected 5 fields, got 4"),
+    ])
+    def test_stations_error(self, tmp_path, chunk_rows, stations, expected):
+        path = tmp_path / "s.csv"
+        path.write_text("station_id,lon,lat,x_km,y_km\n" + stations)
+        with pytest.raises(LoadError) as got:
+            load_stations(path)
+        assert str(got.value) == f"{path} {expected}"
+
+    @pytest.mark.parametrize("rows, expected", [
+        ("1,A,1.0,independent\n1,B,2.0,independent\n\n2,A\n", " line 5: expected 4 fields, got 2"),
+        ("1,A,1.0,grf-spatial\n1,B,2.0,grf-spatial\nx,A,3.0,grf-spatial\n",
+         " line 4: bad sample number 'x' or value '3.0'"),
+        ("1,A,1.0,grf-spatial\n1,B,2.0,grf-spatial\n2,A,,grf-spatial\n", " line 4: bad sample number '2' or value ''"),
+        ("1,A,1.0,grf-spatial\n1,B,2.0,independent\n2,A,x,grf-spatial\n", ": mixed provenance values"),
+        ("1,A,1.0,grf-spatial\n1,B,x,grf-spatial\n2,A,1.0,independent\n",
+         " line 3: bad sample number '1' or value 'x'"),
+        ("1,A,1.0,grf-spatial\n1,B,x,independent\n", " line 3: bad sample number '1' or value 'x'"),
+        ("1,A,1.0,ecc\n1,B,2.0,ecc\n1,A,3.0,ecc\n2,A,1.0,ecc\n2,B,2.0,ecc\n2,A,3.0,ecc\n",
+         ": sample 1 lists station 'A' more than once"),
+        ("3,A,1.0,ecc\n3,B,2.0,ecc\n1,A,1.0,ecc\n1,B,2.0,ecc\n2,B,1.0,ecc\n2,A,2.0,ecc\n",
+         ": sample 2 has a different station order"),
+        ("1,A,1.0,ecc\n1,B,2.0,ecc\n2,A,1.0,ecc\n3,A,1.0,ecc\n3,B,2.0,ecc\n",
+         ": sample 2 has a different station order"),
+        ("1,A,1.0,ecc\n1,B,2.0,ecc\n2,A,1.0,ecc\n2,B,2.0,ecc\n2,C,3.0,ecc\n",
+         ": sample 2 has a different station order"),
+        ("\n\n", ": no field rows"),
+    ])
+    def test_fields_error(self, tmp_path, chunk_rows, rows, expected):
+        path = tmp_path / "fields.csv"
+        path.write_text(FIELDS_HEAD + rows)
+        with pytest.raises(LoadError) as got:
+            load_fields_csv(path)
+        assert str(got.value) == f"{path}{expected}"
+
+    def test_fields_samples_in_any_order(self, tmp_path, chunk_rows):
+        path = tmp_path / "fields.csv"
+        path.write_text(FIELDS_HEAD + "10,B,9.0,ecc\n2,B,6.0,ecc\n1,B,2.0,ecc\n\n2,A,5.0,ecc\n"
+                        "01,A,1.0,ecc\n10,A,8.0,ecc\n")
+        sample = load_fields_csv(path)
+        assert sample.station_order == ("B", "A") and sample.provenance == "ecc"
+        assert sample.fields.tolist() == [[2.0, 1.0], [6.0, 5.0], [9.0, 8.0]]
+
+    def test_round_trips_are_bit_identical(self, tmp_path, chunk_rows):
+        paths = write_season(tmp_path / "season")
+        assert fingerprint(load_dataset(*paths)) == fingerprint(rowwise_load_dataset(*paths))
+        data = make_dataset(n_days=3, n_stations=3, n_members=2)
+        data = EnsembleDataset(StationSet(Station(sid, s.x, s.y) for sid, s in zip(ODD_IDS, data.stations)),
+                               data.days, data.forecasts, data.observations)
+        odd = [tmp_path / n for n in ("s.csv", "f.csv", "o.csv")]
+        save_dataset(data, *odd)
+        assert fingerprint(load_dataset(*odd)) == fingerprint(rowwise_load_dataset(*odd))  # dataset ids are stripped
+        fields = np.random.default_rng(2).normal(12.0, 4.0, (7, 3))
+        fields.flat[:4] = ODD_VALUES
+        save_fields_csv(ForecastFieldSample(ODD_IDS, fields, "grf-spatial"), tmp_path / "fields.csv")
+        back = load_fields_csv(tmp_path / "fields.csv")
+        assert back.station_order == ODD_IDS and back.fields.tobytes() == fields.tobytes()
+
+    def test_dataset_parse_memory_is_bounded(self, tmp_path):
+        # a file-sized list of cells peaked at 52 MiB
+        paths = [tmp_path / n for n in DATA_FILES]
+        save_dataset(generate(default_spec(0)), *paths)
+        assert traced_peak(lambda: load_dataset(*paths)) <= 12 << 20
+
+    def test_fields_parse_memory_is_bounded(self, tmp_path):
+        # a per-row loop over (station_id, value) tuples peaked at 31 MiB
+        fields = np.random.default_rng(0).normal(12.0, 4.0, (2000, 100))
+        ids = tuple(f"S{i}" for i in range(100))
+        save_fields_csv(ForecastFieldSample(ids, fields, "grf-spatial"), tmp_path / "fields.csv")
+        assert traced_peak(lambda: load_fields_csv(tmp_path / "fields.csv")) <= 8 << 20
 
 
 class TestRollingWindows:
