@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -368,33 +367,3 @@ def sample_spatial_bma(
         z = rng.standard_normal((len(stations), rows.size))
         fields[rows] = (member_means[:, m, None] + sigma * (L @ z)).T
     return ForecastFieldSample(stations.ids, fields, "spatial-bma")
-
-
-def params_to_json(params: BmaParams, target_day: str, window_days: Sequence[str] = ()) -> dict:
-    """JSON-serializable record of a mixture fit."""
-    return {
-        "method": "bma",
-        "target_day": str(target_day),
-        "window_days": [str(d) for d in window_days],
-        "a": [float(v) for v in params.a],
-        "b": [float(v) for v in params.b],
-        "w": [float(v) for v in params.w],
-        "sigma2": float(params.sigma2),
-        "n_iter": int(params.n_iter),
-        "converged": bool(params.converged),
-        "loglik": float(params.loglik),
-    }
-
-
-def params_from_json(doc: dict) -> BmaParams:
-    if doc.get("method") != "bma":
-        raise ValueError(f"not a mixture parameter record: method {doc.get('method')!r}")
-    return BmaParams(
-        a=np.asarray(doc["a"], dtype=float),
-        b=np.asarray(doc["b"], dtype=float),
-        w=np.asarray(doc["w"], dtype=float),
-        sigma2=float(doc["sigma2"]),
-        n_iter=int(doc.get("n_iter", 0)),
-        converged=bool(doc.get("converged", True)),
-        loglik=float(doc.get("loglik", float("nan"))),
-    )

@@ -508,7 +508,7 @@ class ForecastFieldSample:
 
     def __post_init__(self):
         order = tuple(self.station_order)
-        f = np.array(self.fields, dtype=float)
+        f = np.asarray(self.fields, dtype=float)  # held, not copied: samplers hand over fresh arrays
         if f.ndim != 2 or f.shape[1] != len(order):
             raise ValueError(f"fields shape {f.shape} does not match {len(order)} stations")
         if f.size and not np.isfinite(f).all():

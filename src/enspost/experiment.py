@@ -22,8 +22,10 @@ raw rank histogram, both with M+1 bins.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
+import typing
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -65,8 +67,7 @@ class Method:
 
     fit: Callable  # (data, window, previous day's params or None) -> params
     predictor: Callable  # (params, stations) -> ((station positions (n,), member forecasts (n, M)) -> predictive law)
-    to_json: Callable  # (params, target day, training days) -> dict
-    from_json: Callable  # dict -> params
+    record: type  # the params dataclass, whose fields a params file holds
 
 
 def _ngrc_predictor(params, stations: StationSet):
@@ -79,22 +80,19 @@ METHODS = {
     "ngr+": Method(
         fit=lambda data, window, prev: ngr_mod.fit_ngr_plus(data, window, init=prev),
         predictor=lambda params, stations: lambda positions, forecasts: ngr_mod.predict_ngr_plus(params, forecasts),
-        to_json=ngr_mod.params_to_json,
-        from_json=ngr_mod.params_from_json,
+        record=ngr_mod.NgrPlusParams,
     ),
     "ngrc": Method(
         fit=lambda data, window, prev: ngr_mod.fit_ngr_c(data, window, init=prev),
         predictor=_ngrc_predictor,
-        to_json=ngr_mod.params_to_json,
-        from_json=ngr_mod.params_from_json,
+        record=ngr_mod.NgrCParams,
     ),
     "bma": Method(
         # no warm start from prev: EM's weight update is multiplicative, so a
         # weight that reached 0 on one day could never recover on the next
         fit=lambda data, window, prev: bma_mod.fit_bma(data, window),
         predictor=lambda params, stations: lambda positions, forecasts: bma_mod.predict_bma(params, forecasts),
-        to_json=bma_mod.params_to_json,
-        from_json=bma_mod.params_from_json,
+        record=bma_mod.BmaParams,
     ),
 }
 
@@ -502,14 +500,20 @@ def _safe(label: str) -> str:
 
 
 def write_params(path, method: str, params, window, spatial=None) -> None:
-    """Write a fit, with the correlation model fit_spatial gave, as a params JSON file."""
-    doc = METHODS[method].to_json(params, window.target_day, window.training_days)
+    """Write a fit, with the correlation model fit_spatial gave, as a params JSON file.
+
+    The file holds method, target_day and window_days, then each field of
+    the params record under its own name, then the grf variogram or the
+    spatial-bma member variograms as VariogramFit fields.
+    """
+    doc = {"method": method, "target_day": window.target_day, "window_days": window.training_days,
+           **_fields_of(params)}
     if isinstance(spatial, VariogramFit):
-        doc["variogram"] = _variogram_doc(spatial)
+        doc["variogram"] = _fields_of(spatial)
     elif spatial is not None:
-        doc["member_variograms"] = [_variogram_doc(f) for f in spatial.variograms]
+        doc["member_variograms"] = [_fields_of(fit) for fit in spatial.variograms]
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=lambda a: a.tolist())  # numpy arrays and scalars
         fh.write("\n")
 
 
@@ -525,26 +529,26 @@ def read_params(path, spatial_mode: str = "none"):
     if method not in METHODS:
         raise ValueError(f"parameter file has unknown method {method!r}")
     validate_combo(method, spatial_mode)
-    params = METHODS[method].from_json(doc)
+    params = _from_fields(METHODS[method].record, doc)
     key = {"grf": "variogram", "spatial-bma": "member_variograms"}.get(spatial_mode)
     if key is None:
         return doc, method, params, None
     if key not in doc:
         raise ValueError(f"params file has no {key.replace('_', ' ')}; rerun fit with --spatial {spatial_mode}")
     if spatial_mode == "grf":
-        return doc, method, params, _variogram_fit(doc[key])
-    return doc, method, params, bma_mod.SpatialBmaParams(params, [_variogram_fit(v) for v in doc[key]])
+        return doc, method, params, _from_fields(VariogramFit, doc[key])
+    return doc, method, params, bma_mod.SpatialBmaParams(params, [_from_fields(VariogramFit, v) for v in doc[key]])
 
 
-def _variogram_doc(fit) -> dict:
-    return {
-        "theta": float(fit.theta),
-        "range_km": float(fit.range_km),
-        "objective": float(fit.objective),
-        "degenerate": bool(fit.degenerate),
-    }
+def _fields_of(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
-def _variogram_fit(doc: dict) -> VariogramFit:
-    return VariogramFit(doc["theta"], doc["range_km"], (), float(doc.get("objective", float("nan"))),
-                        doc.get("degenerate", False))
+def _from_fields(cls, doc: dict):
+    """cls rebuilt from doc's entries of its fields, float and int fields cast, through its own checks."""
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc]
+    if missing:
+        raise ValueError(f"params file lacks {cls.__name__} field(s) {', '.join(missing)}; refit it")
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: hints[f.name](doc[f.name]) if hints[f.name] in (float, int) else doc[f.name]
+                  for f in dataclasses.fields(cls)})

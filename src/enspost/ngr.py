@@ -406,63 +406,3 @@ def interpolate_ngr_c(params: NgrCParams, stations: StationSet) -> tuple[NgrCPar
     )
     rows[new] = len(params.station_ids) + np.arange(new.size)
     return wide, rows
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip for fitted parameters
-
-
-def params_to_json(params, target_day: str, window_days=()) -> dict:
-    """JSON-ready dict for either regression variant."""
-    if isinstance(params, NgrPlusParams):
-        return {
-            "method": "ngr+",
-            "target_day": target_day,
-            "window_days": list(window_days),
-            "a": params.a,
-            "beta": params.beta.tolist(),
-            "c_raw": params.c_raw,
-            "d_raw": params.d_raw,
-            "climatology": {},
-        }
-    if isinstance(params, NgrCParams):
-        return {
-            "method": "ngrc",
-            "target_day": target_day,
-            "window_days": list(window_days),
-            "a": None,
-            "beta": params.b.tolist(),
-            "c_raw": params.c_raw,
-            "d_raw": params.d_raw,
-            "ridge": params.ridge,
-            "climatology": {
-                sid: {"ybar": float(params.ybar[k]), "fbar": params.fbar[k].tolist(), "xi2": float(params.xi2[k])}
-                for k, sid in enumerate(params.station_ids)
-            },
-        }
-    raise TypeError(f"unsupported parameter type {type(params).__name__}")
-
-
-def params_from_json(doc: dict):
-    """Inverse of params_to_json."""
-    method = doc.get("method")
-    if method == "ngr+":
-        return NgrPlusParams(
-            a=float(doc["a"]),
-            beta=np.asarray(doc["beta"], dtype=float),
-            c_raw=float(doc["c_raw"]),
-            d_raw=float(doc["d_raw"]),
-        )
-    if method == "ngrc":
-        clim = doc["climatology"]
-        return NgrCParams(
-            b=np.asarray(doc["beta"], dtype=float),
-            c_raw=float(doc["c_raw"]),
-            d_raw=float(doc["d_raw"]),
-            station_ids=tuple(clim),
-            ybar=[c["ybar"] for c in clim.values()],
-            fbar=[c["fbar"] for c in clim.values()],
-            xi2=[c["xi2"] for c in clim.values()],
-            ridge=float(doc.get("ridge", 0.0)),
-        )
-    raise ValueError(f"unknown method {method!r} in parameter document")

@@ -62,7 +62,6 @@ class VariogramFit:
 
     theta: float
     range_km: float
-    bins: tuple[VariogramBin, ...]
     objective: float
     degenerate: bool = False
 
@@ -71,7 +70,6 @@ class VariogramFit:
             raise ValueError(f"theta {self.theta!r} outside [0, 1]")
         if not self.range_km > 0.0:
             raise ValueError(f"range {self.range_km!r} must be positive")
-        object.__setattr__(self, "bins", tuple(self.bins))
 
 
 def standardize_errors(
@@ -214,7 +212,7 @@ def fit_variogram(
     v_lo, v_hi = math.log(r_max * 1e-4), math.log(r_max)
     if np.all(g_hat <= 0.0):
         warnings.warn("all empirical variogram bins are zero; returning degenerate fit", stacklevel=2)
-        return VariogramFit(0.0, r_max, bins, float(objective(np.zeros(1), np.array([v_hi]))[0, 0]), degenerate=True)
+        return VariogramFit(0.0, r_max, float(objective(np.zeros(1), np.array([v_hi]))[0, 0]), degenerate=True)
     if (g_hat > 0.0).sum() < 2:
         raise ValueError("need at least two positive empirical bins")
 
@@ -260,7 +258,7 @@ def fit_variogram(
     # a range collapsed onto its lower bound means the bins carry no distance
     # signal (any theta fits equally well there): flag, don't fail
     collapsed = r <= r_max * 1e-4 * (1.0 + 1e-9)
-    return VariogramFit(float(x[0]), float(min(r, r_max)), bins, s_x, degenerate=collapsed)
+    return VariogramFit(float(x[0]), float(min(r, r_max)), s_x, degenerate=collapsed)
 
 
 def build_correlation_matrix(fit: Union[VariogramFit, tuple[float, float]], stations: StationSet) -> np.ndarray:

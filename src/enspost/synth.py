@@ -364,16 +364,11 @@ def zero_noise_spec(seed: int = 0, **overrides) -> SynthSpec:
     return SynthSpec(**base)
 
 
-def correlated_spec(seed: int = 0, theta: float = 0.2, range_km: float = 150.0, **overrides) -> SynthSpec:
-    """Errors with a pronounced spatial structure for multivariate tests."""
-    return default_spec(seed, theta=theta, range_km=range_km, **overrides)
-
-
 RECIPES = {
     "default": default_spec,
     "underdispersive": underdispersive_spec,
     "zero-noise": zero_noise_spec,
-    "correlated": correlated_spec,
+    "correlated": default_spec,  # default_spec's errors are already spatially correlated
 }
 
 

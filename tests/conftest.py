@@ -203,7 +203,7 @@ def multistart_fit_variogram(bins, r_max=None):
             if float(res.fun) < s_best:
                 x_best, s_best = res.x, float(res.fun)
     r = math.exp(x_best[1])
-    return VariogramFit(1.0 / (1.0 + math.exp(-x_best[0])), min(r, r_max), bins, s_best,
+    return VariogramFit(1.0 / (1.0 + math.exp(-x_best[0])), min(r, r_max), s_best,
                         degenerate=r <= r_max * 1e-4 * (1.0 + 1e-9))
 
 

@@ -14,8 +14,6 @@ from enspost.bma import (
     _logsumexp_rows,
     fit_bma,
     fit_spatial_bma,
-    params_from_json,
-    params_to_json,
     predict_bma,
     sample_spatial_bma,
 )
@@ -456,21 +454,3 @@ class TestSpatialBma:
             z = rng.standard_normal((len(data.stations), rows.size))
             want[rows] = ((bma.a[m] + bma.b[m] * filled[:, m])[:, None] + math.sqrt(bma.sigma2) * (L @ z)).T
         assert got.fields.tobytes() == want.tobytes()
-
-
-def test_json_round_trip():
-    params = BmaParams(
-        a=np.array([0.1, 0.2]),
-        b=np.array([0.9, 1.1]),
-        w=np.array([0.4, 0.6]),
-        sigma2=1.7,
-        n_iter=12,
-        converged=True,
-        loglik=-321.5,
-    )
-    back = params_from_json(params_to_json(params, "2024-03-01", ("2024-02-29",)))
-    np.testing.assert_allclose(back.a, params.a)
-    np.testing.assert_allclose(back.b, params.b)
-    np.testing.assert_allclose(back.w, params.w)
-    assert back.sigma2 == params.sigma2
-    assert back.loglik == params.loglik

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from enspost import cli, ingest
-from enspost.bma import params_from_json, predict_bma
+from enspost.bma import predict_bma
 from enspost.cli import load_fields_csv, main
 from enspost.core import EnsembleDataset, ForecastFieldSample, Station, StationSet
 from enspost.experiment import predict_rows, read_params
@@ -222,7 +222,7 @@ class TestFitPredictChain:
                      "--spatial", "ecc", "--out", str(fields)]) == 0
         sample = load_fields_csv(fields)
         d = load_dataset(data / "stations.csv", data / "forecasts.csv", data / "observations.csv")
-        bma = params_from_json(json.loads(params.read_text()))
+        _, _, bma, _ = read_params(params)
         fc = d.forecasts[d.day_index("2024-01-18")]
         levels = np.arange(1, d.members + 1) / (d.members + 1)
         for j, sid in enumerate(sample.station_order):

@@ -367,6 +367,15 @@ def test_forecast_field_sample_accessors():
         ForecastFieldSample(("A", "B"), np.zeros((2, 2)), "whatever")
 
 
+def test_forecast_field_sample_holds_a_fresh_array_without_copying():
+    fields = np.arange(6.0).reshape(3, 2)
+    sample = ForecastFieldSample(("A", "B"), fields, "independent")
+    assert np.shares_memory(sample.fields, fields)
+    assert not fields.flags.writeable
+    with pytest.raises(ValueError):
+        sample.fields[0, 0] = 1.0
+
+
 def test_training_window_rejects_target_in_training():
     with pytest.raises(ValueError):
         TrainingWindow("d3", ("d1", "d2", "d3"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import warnings
@@ -6,19 +7,23 @@ import numpy as np
 import pytest
 
 from enspost.bma import fit_bma, predict_bma
-from enspost.core import EnsembleDataset, TrainingWindow, seeded_rng
+from enspost.cli import main
+from enspost.core import EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
 from enspost.ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from enspost.experiment import (
     METHODS,
     ExperimentConfig,
     _moment_panels,
     combo_label,
+    fit_spatial,
     parse_combos,
     parse_experiment_config,
+    read_params,
     run_experiment,
     validate_combo,
+    write_params,
 )
-from enspost.ingest import load_data_dir, rolling_windows, save_dataset
+from enspost.ingest import data_paths, load_data_dir, rolling_windows, save_dataset
 from enspost.ngr import _training_rows, fit_ngr_c, predict_ngr_c, predict_ngr_plus
 from enspost.synth import default_spec, generate
 from enspost.verify import (
@@ -432,3 +437,90 @@ def test_standardization_moments_are_each_rows_predictive_law(method):
                     law = predict_ngr_c(params, params.station_ids.index(sid), F[t, j])
                 mismatched += int(mu[t, j] != law.mean) + int(sigma[t, j] != law.sd)
     assert mismatched == 0
+
+
+class TestParamsFile:
+    """write_params stores each params record field by field; read_params rebuilds it through its constructor."""
+
+    @pytest.fixture(scope="class")
+    def season(self, tmp_path_factory):
+        """A dataset whose first station id ends in NUL, on disk for the CLI, and its last window."""
+        data = generate(default_spec(3, n_stations=8, n_days=18, n_members=5))
+        stations = StationSet(Station(sid, s.x, s.y) for sid, s in zip(["S1\0", *data.stations.ids[1:]], data.stations))
+        data = EnsembleDataset(stations, data.days, data.forecasts, data.observations)
+        root = tmp_path_factory.mktemp("params-data")
+        save_dataset(data, *data_paths(root))
+        return data, root, rolling_windows(data, 14)[-1]
+
+    @staticmethod
+    def write(season, path, method, mode="none"):
+        data, _, window = season
+        params = METHODS[method].fit(data, window, None)
+        spatial = fit_spatial(mode, method, params, data, window)
+        write_params(path, method, params, window, spatial)
+        return params, spatial
+
+    @staticmethod
+    def assert_same_bits(back, kept):
+        if dataclasses.is_dataclass(kept):
+            assert type(back) is type(kept)
+            for f in dataclasses.fields(kept):
+                TestParamsFile.assert_same_bits(getattr(back, f.name), getattr(kept, f.name))
+        elif isinstance(kept, tuple):
+            assert len(back) == len(kept)
+            for b, k in zip(back, kept):
+                TestParamsFile.assert_same_bits(b, k)
+        elif isinstance(kept, np.ndarray):
+            assert back.shape == kept.shape and back.tobytes() == kept.tobytes()
+        elif isinstance(kept, (float, np.floating)):
+            assert np.float64(back).tobytes() == np.float64(kept).tobytes()
+        else:
+            assert back == kept
+
+    @pytest.mark.parametrize("method,mode", [("ngr+", "none"), ("ngrc", "none"), ("bma", "none"),
+                                             ("ngr+", "grf"), ("bma", "spatial-bma")])
+    def test_round_trip_keeps_every_bit(self, season, tmp_path, method, mode):
+        params, spatial = self.write(season, tmp_path / "p.json", method, mode)
+        doc, got_method, back, back_spatial = read_params(tmp_path / "p.json", mode)
+        assert (got_method, doc["target_day"], tuple(doc["window_days"])) == (
+            method, season[2].target_day, season[2].training_days)
+        self.assert_same_bits(back, params)
+        self.assert_same_bits(back_spatial, spatial)
+        if method == "ngrc":
+            assert back.station_ids[0] == "S1\0"
+
+    @pytest.mark.parametrize("method", ["ngr+", "ngrc"])
+    def test_ngr_files_carry_the_fit_diagnostics(self, season, tmp_path, method):
+        params, _ = self.write(season, tmp_path / "p.json", method)
+        doc = json.loads((tmp_path / "p.json").read_text())
+        assert doc["converged"] == params.converged
+        assert doc["grad_norm"] == params.grad_norm and doc["objective"] == params.objective
+
+    @pytest.mark.parametrize("method,mode,path,name", [
+        ("ngrc", "none", (), "xi2"),
+        ("ngr+", "grf", ("variogram",), "range_km"),
+        ("bma", "spatial-bma", ("member_variograms", 2), "degenerate"),
+    ])
+    def test_missing_field_is_named(self, season, tmp_path, capsys, method, mode, path, name):
+        params_path, out = tmp_path / "p.json", tmp_path / "pred.csv"
+        self.write(season, params_path, method, mode)
+        doc = json.loads(params_path.read_text())
+        entry = doc
+        for key in path:
+            entry = entry[key]
+        del entry[name]
+        params_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=name):
+            read_params(params_path, mode)
+        if not path:
+            assert main(["predict", "--data", str(season[1]), "--params", str(params_path), "--out", str(out)]) == 1
+            assert name in capsys.readouterr().err and not out.exists()
+
+    def test_non_numeric_field_is_rejected(self, season, tmp_path):
+        path = tmp_path / "p.json"
+        self.write(season, path, "ngr+")
+        doc = json.loads(path.read_text())
+        doc["a"] = "x"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="float"):
+            read_params(path)

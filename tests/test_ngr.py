@@ -10,8 +10,6 @@ from enspost.ngr import (
     fit_ngr_c,
     fit_ngr_plus,
     interpolate_ngr_c,
-    params_from_json,
-    params_to_json,
     predict_ngr_c,
     predict_ngr_plus,
 )
@@ -126,16 +124,6 @@ class TestFitNgrPlus:
         dist = predict_ngr_plus(params, np.array([10.0, np.nan]))
         assert dist.mean == pytest.approx(10.0)  # missing member reuses the mean
 
-    def test_json_round_trip(self):
-        params = NgrPlusParams(1.5, np.array([0.3, -0.4]), 0.9, 1.1, True, 1e-9, 0.77)
-        doc = params_to_json(params, "2024-02-01", ("2024-01-31",))
-        back = params_from_json(doc)
-        assert isinstance(back, NgrPlusParams)
-        assert back.a == params.a
-        np.testing.assert_array_equal(back.beta, params.beta)
-        assert back.c == pytest.approx(params.c)
-        assert back.d == pytest.approx(params.d)
-
 
 def _window_objective(params, data, window) -> float:
     total, count = 0.0, 0
@@ -224,18 +212,6 @@ class TestFitNgrC:
             k, k_alone = rows[data.n_stations + j], alone_rows[-1]
             assert wide.ybar[k] == alone.ybar[k_alone] and wide.xi2[k] == alone.xi2[k_alone]
             assert wide.fbar[k].tolist() == alone.fbar[k_alone].tolist()
-
-    def test_json_round_trip(self):
-        data = self.make_data()
-        params = fit_ngr_c(data, last_window(data))
-        back = params_from_json(params_to_json(params, "x", ()))
-        assert back.c == pytest.approx(params.c)
-        assert back.d == pytest.approx(params.d)
-        np.testing.assert_allclose(back.b, params.b)
-        sid = data.stations.ids[0]
-        k, k_back = params.station_ids.index(sid), back.station_ids.index(sid)
-        assert back.ybar[k_back] == pytest.approx(params.ybar[k])
-        np.testing.assert_allclose(back.fbar[k_back], params.fbar[k])
 
 
 class TestWarmStart:

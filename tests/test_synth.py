@@ -10,7 +10,6 @@ from enspost.synth import (
     NgrPlusTruth,
     SynthSpec,
     brute_force_crps,
-    correlated_spec,
     default_spec,
     generate,
     generate_with_truth,
@@ -84,7 +83,7 @@ class TestGenerate:
         assert np.abs(off).mean() < 0.06
 
     def test_correlated_errors_decay_with_distance(self):
-        spec = correlated_spec(6, theta=0.2, range_km=150.0, n_stations=80, n_days=300)
+        spec = default_spec(6, theta=0.2, range_km=150.0, n_stations=80, n_days=300)
         data, truth = generate_with_truth(spec)
         err = (data.observations - truth.mu) / truth.sigma
         corr = np.corrcoef(err.T)
