@@ -25,10 +25,10 @@ def ecc_quantiles(dist, m: int) -> np.ndarray:
 
 
 def rank_permutation(raw_members, rng: np.random.Generator) -> np.ndarray:
-    """1-based ranks of the raw member values; ties broken at random."""
+    """1-based ranks of the raw member values, a vector or (S, M) rows; ties broken as row-by-row calls break them."""
     v = np.asarray(raw_members, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("raw member values must form a non-empty vector")
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("raw member values must form a non-empty vector or (S, M) rows")
     if np.isnan(v).any():
         raise ValueError("raw member values contain missing entries")
     return tie_broken_ranks(v, rng)
@@ -52,8 +52,8 @@ def ecc_reorder(
         raise ValueError("quantiles and permutations must both be (n_stations, M)")
     if np.any(np.diff(q, axis=1) < 0):
         raise ValueError("quantile rows must be non-decreasing")
-    for s in range(perm.shape[0]):
-        if sorted(perm[s].tolist()) != list(range(1, perm.shape[1] + 1)):
-            raise ValueError(f"row {s} is not a permutation of 1..M")
+    bad = np.flatnonzero((np.sort(perm, axis=1) != np.arange(1, perm.shape[1] + 1)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is not a permutation of 1..M")
     fields = q[np.arange(q.shape[0])[:, None], perm - 1].T  # (M, n_stations)
     return ForecastFieldSample(order, fields, "ecc")

@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import typing
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from .core import (
     seeded_rng,
 )
 from .ecc import ecc_quantiles, ecc_reorder, rank_permutation
-from .ingest import load_data_dir, rolling_windows
+from .ingest import cast_fields, load_data_dir, rolling_windows
 from .spatial import (
     VariogramFit,
     build_correlation_matrix,
@@ -127,14 +126,10 @@ def combo_label(method: str, spatial_mode: str) -> str:
     return method if spatial_mode == "none" else f"{method}/{spatial_mode}"
 
 
-def _items(text) -> list[str]:
-    return [tok.strip() for tok in str(text).split(",") if tok.strip()]
-
-
 def parse_combos(text: str) -> tuple[tuple[str, str], ...]:
     """Comma list of `method` or `method/spatial` entries."""
     combos = []
-    for tok in _items(text):
+    for tok in filter(None, (tok.strip() for tok in text.split(","))):
         method, _, spatial_mode = tok.partition("/")
         pair = (method, spatial_mode or "none")
         validate_combo(*pair)
@@ -176,30 +171,23 @@ class ExperimentConfig:
             raise ValueError("interval level must lie strictly between 0 and 1")
 
 
-# config key -> (ExperimentConfig field, parser of the key's text)
-_CONFIG_KEYS = {
-    "data": ("data_dir", str),
-    "out": ("out_dir", str),
-    "combos": ("combos", parse_combos),
-    "window": ("window_length", int),
-    "fields": ("n_field_samples", int),
-    "thresholds": ("thresholds", lambda text: tuple(float(tok) for tok in _items(text))),
-    "region": ("region", lambda text: tuple(_items(text))),
-    "level": ("level", float),
-    "seed": ("seed", int),
-}
+# config key -> the ExperimentConfig field it sets; every other key is its field's own name
+_CONFIG_KEYS = {"data": "data_dir", "out": "out_dir", "window": "window_length", "fields": "n_field_samples"}
 
 
 def parse_experiment_config(kv: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Config from key=value text with the keys of _CONFIG_KEYS; overrides win."""
+    """Config from key=value text with the keys of _CONFIG_KEYS and the other fields' names; overrides win."""
     merged = {**kv, **(overrides or {})}
-    unknown = set(merged) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    renamed = sorted(set(merged) & set(_CONFIG_KEYS.values()))
+    if renamed:
+        raise ValueError(f"unknown ExperimentConfig key(s): {', '.join(renamed)}")
     for required in ("data", "out"):
         if required not in merged:
             raise ValueError(f"config needs {required}=")
-    return ExperimentConfig(**{_CONFIG_KEYS[key][0]: _CONFIG_KEYS[key][1](text) for key, text in merged.items()})
+    if "combos" in merged:
+        merged["combos"] = parse_combos(merged["combos"])
+    return ExperimentConfig(**cast_fields(ExperimentConfig, {_CONFIG_KEYS.get(key, key): text
+                                                            for key, text in merged.items()}))
 
 
 @dataclass
@@ -274,8 +262,7 @@ def draw_fields(
         return sample_fields(mvp, n, rng), lambda: (mvp.mu, mvp.covariance())
     if mode == "ecc":
         q = ecc_quantiles(law, forecasts.shape[1])
-        perms = np.vstack([rank_permutation(row, tie_rng) for row in impute(forecasts)[0]])
-        return ecc_reorder(q, perms, ids), None
+        return ecc_reorder(q, rank_permutation(impute(forecasts)[0], tie_rng), ids), None
     sample = bma_mod.sample_spatial_bma(spatial, forecasts, stations, n, rng)
     return sample, lambda: verify.mixture_moments(
         spatial.bma.w,
@@ -545,10 +532,8 @@ def _fields_of(record) -> dict:
 
 
 def _from_fields(cls, doc: dict):
-    """cls rebuilt from doc's entries of its fields, float and int fields cast, through its own checks."""
+    """cls rebuilt from doc's entries of its fields, cast by cast_fields, through its own checks."""
     missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc]
     if missing:
         raise ValueError(f"params file lacks {cls.__name__} field(s) {', '.join(missing)}; refit it")
-    hints = typing.get_type_hints(cls)
-    return cls(**{f.name: hints[f.name](doc[f.name]) if hints[f.name] in (float, int) else doc[f.name]
-                  for f in dataclasses.fields(cls)})
+    return cls(**cast_fields(cls, {f.name: doc[f.name] for f in dataclasses.fields(cls)}))

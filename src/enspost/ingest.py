@@ -30,6 +30,7 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -41,6 +42,7 @@ import operator
 import os
 import tempfile
 import types
+import typing
 import warnings
 import zipfile
 from pathlib import Path
@@ -486,4 +488,34 @@ def read_key_values(path) -> dict:
             if key in out:
                 raise LoadError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value.strip()
+    return out
+
+
+_ITEM_TYPES = {tuple: float, tuple[float, ...]: float, tuple[str, ...]: str}  # a comma list's item casts
+
+
+_field_types = functools.cache(typing.get_type_hints)  # a dataclass's fields -> their types
+
+
+def cast_fields(cls, values: dict) -> dict:
+    """values, keyed by field names of the dataclass cls, cast by each field's annotation.
+
+    int, float and str fields are cast by their type; a text value for a
+    tuple, tuple[float, ...] or tuple[str, ...] field is read as its comma
+    list; any other value passes as given. A key that names no field of cls
+    is a ValueError naming it.
+    """
+    types_ = _field_types(cls)
+    unknown = [key for key in values if key not in types_]
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    out = {}
+    for key, value in values.items():
+        kind = types_[key]
+        if kind in (int, float, str):
+            out[key] = kind(value)
+        elif kind in _ITEM_TYPES and isinstance(value, str):
+            out[key] = tuple(_ITEM_TYPES[kind](tok.strip()) for tok in value.split(",") if tok.strip())
+        else:
+            out[key] = value
     return out

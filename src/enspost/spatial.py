@@ -157,16 +157,6 @@ def variogram_model(theta: float, range_km: float, d, same_site: bool = False):
     return float(g) if g.ndim == 0 else g
 
 
-def correlation_model(theta: float, range_km: float, d, same_site: bool = False):
-    """Complement of the variogram: (1-theta) exp(-d/r) plus nugget on site."""
-    _check_model_params(theta, range_km)
-    d = np.asarray(d, dtype=float)
-    c = (1.0 - theta) * np.exp(-d / range_km)
-    if same_site:
-        c = c + theta
-    return float(c) if c.ndim == 0 else c
-
-
 def _check_model_params(theta, range_km):
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta {theta!r} outside [0, 1]")

@@ -14,6 +14,7 @@ the constant and spread-scaled parts of a fitted variance model.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import math
 from dataclasses import dataclass
@@ -29,19 +30,20 @@ from .core import (
     _readonly,
     seeded_rng,
 )
+from .ingest import cast_fields, read_key_values
 from .spatial import build_correlation_matrix, cholesky_with_jitter
 
 MEMBER_DRAW_MODES = ("per_day", "per_row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NgrPlusTruth:
     """Observations drawn as N(a + sum_m b_m f_m, c + d S^2)."""
 
-    a: float
-    b: tuple
-    c: float
-    d: float
+    a: float = 1.0
+    b: tuple = (0.05,)
+    c: float = 1.0
+    d: float = 1.0
 
     def __post_init__(self):
         b = tuple(float(v) for v in np.atleast_1d(np.asarray(self.b, dtype=float)))
@@ -52,7 +54,7 @@ class NgrPlusTruth:
             raise ValueError("variance coefficients must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NgrCTruth:
     """Observations drawn as N(ybar_s + sum_m b_m (f_m - fbar_ms), c xi_s^2 + d S^2).
 
@@ -61,9 +63,9 @@ class NgrCTruth:
     should recover (b, c, d) with its own estimated anchors. Requires c < 1.
     """
 
-    b: tuple
-    c: float
-    d: float
+    b: tuple = (0.05,)
+    c: float = 0.5
+    d: float = 1.0
 
     def __post_init__(self):
         b = tuple(float(v) for v in np.atleast_1d(np.asarray(self.b, dtype=float)))
@@ -74,24 +76,26 @@ class NgrCTruth:
             raise ValueError("d must be positive so the anchors are positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BmaTruth:
     """Observations drawn from the mixture sum_m w_m N(a_m + b_m f_m, sigma2).
 
-    member_draw picks the mixture component once per day ("per_day", fields
-    stay spatially coherent) or independently per station row ("per_row").
+    A one-value a or b applies to every member. member_draw picks the
+    mixture component once per day ("per_day", fields stay spatially
+    coherent) or independently per station row ("per_row").
     """
 
-    a: tuple
-    b: tuple
+    a: tuple = (0.0,)
+    b: tuple = (1.0,)
     weights: tuple
-    sigma2: float
+    sigma2: float = 1.0
     member_draw: str = "per_day"
 
     def __post_init__(self):
+        n = np.size(self.weights)
         for name in ("a", "b", "weights"):
             vals = tuple(float(v) for v in np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, vals * n if len(vals) == 1 else vals)
         if not (len(self.a) == len(self.b) == len(self.weights)):
             raise ValueError("a, b, weights must have one entry per member")
         w = np.asarray(self.weights)
@@ -104,6 +108,7 @@ class BmaTruth:
 
 
 Truth = Union[NgrPlusTruth, NgrCTruth, BmaTruth]
+TRUTHS = {"ngr+": NgrPlusTruth, "ngrc": NgrCTruth, "bma": BmaTruth}  # spec files' truth= names
 
 
 @dataclass(frozen=True)
@@ -376,84 +381,37 @@ RECIPES = {
 # spec files
 
 
-def _parse_tuple(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-_TRUTH_KEYS = {"truth", "a", "b", "c", "d", "weights", "sigma2", "member_draw"}
-_INT_KEYS = {"n_stations", "n_days", "n_members", "seed"}
-_TUPLE_KEYS = {"spread_cycle"}
-_STR_KEYS = {"layout", "start_day"}
-
-
-def _build_truth(kind: str, kv: dict) -> Truth:
-    if kind == "ngr+":
-        return NgrPlusTruth(
-            a=float(kv.get("a", 1.0)),
-            b=_parse_tuple(kv.get("b", "0.05")),
-            c=float(kv.get("c", 1.0)),
-            d=float(kv.get("d", 1.0)),
-        )
-    if kind == "ngrc":
-        return NgrCTruth(
-            b=_parse_tuple(kv.get("b", "0.05")),
-            c=float(kv.get("c", 0.5)),
-            d=float(kv.get("d", 1.0)),
-        )
-    if kind == "bma":
-        if "weights" not in kv:
-            raise ValueError("bma truth needs weights=")
-        w = _parse_tuple(kv["weights"])
-        a = _parse_tuple(kv.get("a", "0"))
-        b = _parse_tuple(kv.get("b", "1"))
-        return BmaTruth(
-            a=a * len(w) if len(a) == 1 else a,
-            b=b * len(w) if len(b) == 1 else b,
-            weights=w,
-            sigma2=float(kv.get("sigma2", 1.0)),
-            member_draw=kv.get("member_draw", "per_day"),
-        )
-    raise ValueError(f"unknown truth kind {kind!r}")
-
-
 def parse_synth_spec(source, overrides: Optional[dict] = None) -> SynthSpec:
     """Build a SynthSpec from key=value lines.
 
     `recipe=` starts from a named recipe; remaining keys override its
-    fields. Without a recipe, `truth=` selects the truth family and the
-    truth parameters are read from a/b/c/d/weights/sigma2/member_draw.
-    `source` is a path or an already-parsed dict; `overrides` win last.
+    fields, and the underdispersive recipe also takes `ratio=`. Without a
+    recipe, `truth=` picks the truth family from TRUTHS (default ngr+),
+    whose fields' keys set its parameters; the other keys are SynthSpec
+    fields. A key that names no such field is an error. `source` is a path
+    or an already-parsed dict; `overrides` win last.
     """
-    if isinstance(source, dict):
-        kv = dict(source)
-    else:
-        from .ingest import read_key_values
-
-        kv = read_key_values(source)
+    kv = dict(source) if isinstance(source, dict) else read_key_values(source)
     kv.update(overrides or {})
 
     recipe = kv.pop("recipe", None)
-    plain = {}
-    for key, text in kv.items():
-        if key in _TRUTH_KEYS:
-            continue
-        if key in _INT_KEYS:
-            plain[key] = int(text)
-        elif key in _TUPLE_KEYS:
-            plain[key] = _parse_tuple(text)
-        elif key in _STR_KEYS:
-            plain[key] = str(text)
-        else:
-            plain[key] = float(text)
-
     if recipe is not None:
         if recipe not in RECIPES:
             raise ValueError(f"unknown recipe {recipe!r}; have {sorted(RECIPES)}")
-        if any(k in kv for k in _TRUTH_KEYS):
+        if {"truth", *(f.name for cls in TRUTHS.values() for f in dataclasses.fields(cls))} & set(kv):
             raise ValueError("recipe= and explicit truth keys cannot be mixed")
-        return RECIPES[recipe](**plain)
+        ratio = {"ratio": float(kv.pop("ratio"))} if recipe == "underdispersive" and "ratio" in kv else {}
+        return RECIPES[recipe](**ratio, **cast_fields(SynthSpec, kv))
 
-    for required in ("n_stations", "n_days", "n_members"):
-        if required not in plain:
-            raise ValueError(f"synth spec without recipe= needs {required}=")
-    return SynthSpec(truth=_build_truth(kv.get("truth", "ngr+"), kv), **plain)
+    kind = kv.pop("truth", "ngr+")
+    if kind not in TRUTHS:
+        raise ValueError(f"unknown truth kind {kind!r}; have {sorted(TRUTHS)}")
+    cls = TRUTHS[kind]
+    names = {f.name for f in dataclasses.fields(cls)}
+    spec = cast_fields(SynthSpec, {key: text for key, text in kv.items() if key not in names})
+    missing = [f.name for c in (SynthSpec, cls) for f in dataclasses.fields(c)
+               if f.default is dataclasses.MISSING and f.name not in {"truth", *kv}]
+    if missing:
+        raise ValueError(f"{kind} synth spec without recipe= needs {'=, '.join(missing)}=")
+    truth = cls(**cast_fields(cls, {key: text for key, text in kv.items() if key in names}))
+    return SynthSpec(truth=truth, **spec)

@@ -275,11 +275,8 @@ def pit(dist, y):
 
 
 def tie_broken_ranks(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """1-based ranks of the values of the vector x, ties broken at random by one rng.random(x.size) draw."""
-    order = np.lexsort((rng.random(x.size), x))
-    ranks = np.empty(x.size, dtype=int)
-    ranks[order] = np.arange(1, x.size + 1)
-    return ranks
+    """1-based ranks along the last axis of x, ties broken at random by one row-major rng.random(x.shape) draw."""
+    return np.lexsort((rng.random(x.shape), x), axis=-1).argsort(axis=-1) + 1  # a permutation's argsort inverts it
 
 
 def verification_rank(members, y: float, rng: np.random.Generator) -> int:
@@ -302,11 +299,8 @@ def band_depth_preranks(vectors, rng: np.random.Generator) -> np.ndarray:
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two vectors")
-    pre = np.zeros(n)
-    for k in range(d):
-        ranks = tie_broken_ranks(x[:, k], rng)
-        pre += (n - ranks) * (ranks - 1.0)
-    return pre / d + (n - 1.0)
+    ranks = tie_broken_ranks(x.T, rng)  # (d, n): coordinate k's ranks from the k-th n draws
+    return ((n - ranks) * (ranks - 1.0)).sum(axis=0) / d + (n - 1.0)
 
 
 def band_depth_rank(vectors, rng: np.random.Generator, obs_index: int = 0) -> int:

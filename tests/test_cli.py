@@ -60,6 +60,20 @@ class TestSynthCommand:
         assert (a / "observations.csv").read_bytes() == (b / "observations.csv").read_bytes()
         assert (a / "observations.csv").read_bytes() != (workspace / "data" / "observations.csv").read_bytes()
 
+    @pytest.mark.parametrize("text,key", [
+        ("recipe = default\nn_station = 40\n", "n_station"),
+        ("n_station = 40\nn_days = 5\nn_members = 3\n", "n_station"),
+        ("recipe = default\nratio = 0.5\n", "ratio"),  # only the underdispersive recipe takes a ratio
+        ("truth = ngr+\nn_stations = 4\nn_days = 5\nn_members = 2\nweights = 0.5,0.5\n", "weights"),
+        ("truth = bma\nn_stations = 4\nn_days = 5\nn_members = 2\nweights = 0.5,0.5\nc = 1\n", "c"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, capsys, text, key):
+        spec, out = tmp_path / "spec.txt", tmp_path / "data"
+        spec.write_text(text)
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unknown SynthSpec key(s): {key}\n"
+        assert not out.exists()
+
 
 class TestFitPredictChain:
     def test_fit_predict_sample_verify(self, workspace):

@@ -57,6 +57,14 @@ class TestRankPermutation:
         with pytest.raises(ValueError, match="missing"):
             rank_permutation([1.0, np.nan], seeded_rng(0, "t"))
 
+    def test_rows_rank_as_a_loop_over_them(self):
+        raw = np.round(seeded_rng(4, "rows").normal(size=(100, 20)), 1)  # one decimal: most rows hold ties
+        assert sum(len(set(row)) < 20 for row in raw) > 50
+        rows, loop = seeded_rng(0, "ties"), seeded_rng(0, "ties")
+        np.testing.assert_array_equal(rank_permutation(raw, rows),
+                                      np.vstack([rank_permutation(row, loop) for row in raw]))
+        assert rows.random() == loop.random()  # the tie stream goes on from the same state
+
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=12))
     def test_always_a_permutation(self, values):
         r = rank_permutation(values, seeded_rng(1, "p"))

@@ -95,6 +95,26 @@ class TestComboValidation:
         assert combo_label("ngrc", "grf") == "ngrc/grf"
 
 
+# config text -> the ExperimentConfig it stands for, built by hand
+CONFIG_RECORDS = [
+    ({"data": "d", "out": "o"},
+     ExperimentConfig(data_dir="d", out_dir="o", combos=(("ngr+", "none"),), window_length=25, n_field_samples=10000,
+                      thresholds=(), region=(), level=19.0 / 21.0, seed=0)),
+    ({"data": "runs/data", "out": "runs/x", "combos": "ngr+/grf, bma/ecc, ngrc", "window": "30", "fields": "500",
+      "thresholds": "10, 20.5", "region": "S1, S3", "level": "0.8", "seed": "4"},
+     ExperimentConfig(data_dir="runs/data", out_dir="runs/x", combos=(("ngr+", "grf"), ("bma", "ecc"), ("ngrc", "none")),
+                      window_length=30, n_field_samples=500, thresholds=(10.0, 20.5), region=("S1", "S3"),
+                      level=0.8, seed=4)),
+    ({"data": "d", "out": "o", "combos": "bma/spatial-bma,", "thresholds": "", "region": "A"},
+     ExperimentConfig(data_dir="d", out_dir="o", combos=(("bma", "spatial-bma"),), region=("A",))),
+]
+
+
+@pytest.mark.parametrize("text,record", CONFIG_RECORDS)
+def test_config_text_loads_to_its_record(text, record):
+    assert parse_experiment_config(text) == record
+
+
 class TestConfigParsing:
     def test_requires_data_and_out(self):
         with pytest.raises(ValueError, match="data="):
@@ -103,10 +123,15 @@ class TestConfigParsing:
             parse_experiment_config({"data": "x"})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(ValueError, match="unknown ExperimentConfig key.*wnidow"):
             parse_experiment_config({"data": "a", "out": "b", "wnidow": "25"})
-        with pytest.raises(ValueError, match="unknown config keys"):  # the mixture CRPS draws no samples
+        with pytest.raises(ValueError, match="unknown ExperimentConfig key.*samples"):  # the mixture CRPS draws no samples
             parse_experiment_config({"data": "a", "out": "b", "samples": "5000"})
+
+    @pytest.mark.parametrize("field", ["data_dir", "out_dir", "window_length", "n_field_samples"])
+    def test_renamed_field_answers_only_to_its_key(self, field):
+        with pytest.raises(ValueError, match=f"unknown ExperimentConfig key.*{field}"):
+            parse_experiment_config({"data": "a", "out": "b", field: "5"})
 
     def test_overrides_win(self):
         cfg = parse_experiment_config(

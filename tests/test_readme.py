@@ -1,12 +1,14 @@
-"""The README's library example and single-day CLI example run as written."""
+"""The README's library example and single-day CLI example run as written, and its key lists are the parsers'."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 from enspost.cli import load_fields_csv, main
-from enspost.ingest import save_dataset
-from enspost.synth import default_spec, generate
+from enspost.experiment import _CONFIG_KEYS, ExperimentConfig
+from enspost.ingest import cast_fields, save_dataset
+from enspost.synth import TRUTHS, SynthSpec, default_spec, generate
 from enspost.verify import ScoreTable
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,3 +59,45 @@ def test_single_day_cli_example_runs(tmp_path, monkeypatch):
     assert load_fields_csv(runs / "fields.csv").fields.shape == (1000, 40)
     scores = ScoreTable.read_csv(runs / "scores" / "verify_scores.csv")
     assert {r.score for r in scores.rows} == {"es", "ee", "ds"}
+
+
+def key_list(text, lead):
+    """The items of the bullet list under the paragraph that starts with lead, continuation lines joined."""
+    items = []
+    for line in text[text.index(lead):].splitlines()[1:]:
+        if line.startswith(("- ", "  - ")):
+            items.append(line)
+        elif items and line.startswith("  "):
+            items[-1] += " " + line.strip()
+        elif items or line:
+            break
+    return items
+
+
+def listed_keys(items):
+    """The backticked keys before the colon of each top-level item."""
+    return {key for item in items if item.startswith("- ") for key in re.findall(r"`(\w+)`", item.split(":")[0])}
+
+
+def test_spec_keys_are_the_parsers():
+    items = key_list(README.read_text(), "Synthetic data comes from")
+    spec_fields = {f.name for f in dataclasses.fields(SynthSpec)} - {"truth"}
+    assert listed_keys(items) == spec_fields | {"recipe", "ratio", "truth"}
+    families = {}
+    for item in items:
+        if item.startswith("  - "):
+            name, _, params = item[4:].partition(":")
+            families[name.strip("`")] = dict(re.findall(r"`(\w+)(?: = ([^`]*))?`", params))
+    assert set(families) == set(TRUTHS)
+    for kind, params in families.items():
+        fields = {f.name: f.default for f in dataclasses.fields(TRUTHS[kind])}
+        assert set(params) == set(fields), kind
+        documented = {key: text for key, text in params.items() if text}  # a key without "= value" is required
+        assert cast_fields(TRUTHS[kind], documented) == {key: fields[key] for key in documented}, kind
+        assert all(fields[key] is dataclasses.MISSING for key in set(params) - set(documented)), kind
+
+
+def test_config_keys_are_the_parsers():
+    items = key_list(README.read_text(), "Experiment configs use")
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert listed_keys(items) == set(_CONFIG_KEYS) | (fields - set(_CONFIG_KEYS.values()))

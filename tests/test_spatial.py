@@ -10,7 +10,6 @@ from enspost.spatial import (
     build_correlation_matrix,
     build_spatial_ngr,
     cholesky_with_jitter,
-    correlation_model,
     empirical_variogram,
     fit_variogram,
     sample_fields,
@@ -31,14 +30,19 @@ GAMMA_EXAMPLE = 0.74248439117999059
 CORR_EXAMPLE = 0.25751560882000941
 
 
+def pair_correlation(theta, r, d):
+    """rho(d) as build_correlation_matrix gives it for two stations d km apart."""
+    return build_correlation_matrix((theta, r), StationSet([Station("A", 0.0, 0.0), Station("B", d, 0.0)]))[0, 1]
+
+
 class TestVariogramModel:
     def test_reference_value(self):
         assert variogram_model(0.3, 100.0, 100.0) == pytest.approx(GAMMA_EXAMPLE, abs=1e-14)
-        assert correlation_model(0.3, 100.0, 100.0) == pytest.approx(CORR_EXAMPLE, abs=1e-14)
+        assert pair_correlation(0.3, 100.0, 100.0) == pytest.approx(CORR_EXAMPLE, abs=1e-14)
 
     def test_same_site(self):
         assert variogram_model(0.3, 100.0, 0.0, same_site=True) == 0.0
-        assert correlation_model(0.3, 100.0, 0.0, same_site=True) == 1.0
+        assert build_correlation_matrix((0.3, 100.0), StationSet([Station("A", 0.0, 0.0)]))[0, 0] == 1.0
 
     def test_sill_reached(self):
         assert variogram_model(0.3, 100.0, 5000.0) == pytest.approx(1.0, abs=1e-12)
@@ -46,7 +50,8 @@ class TestVariogramModel:
     def test_nugget_at_vanishing_distance(self):
         # different sites an epsilon apart keep the discontinuity
         assert variogram_model(0.3, 100.0, 1e-12) == pytest.approx(0.3, abs=1e-9)
-        assert correlation_model(0.0, 100.0, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert pair_correlation(0.0, 100.0, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert pair_correlation(0.3, 100.0, 1e-12) == pytest.approx(0.7, abs=1e-9)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -55,7 +60,7 @@ class TestVariogramModel:
     )
     def test_gamma_plus_correlation_is_one(self, theta, r, d):
         g = variogram_model(theta, r, d)
-        c = correlation_model(theta, r, d)
+        c = pair_correlation(theta, r, d)
         assert g + c == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= g <= 1.0
 
@@ -232,7 +237,7 @@ class TestCorrelationMatrix:
         d = stations.pairwise_distances()
         for i in range(5):
             for j in range(5):
-                want = 1.0 if i == j else correlation_model(0.3, 100.0, d[i, j])
+                want = 1.0 if i == j else 1.0 - variogram_model(0.3, 100.0, d[i, j])
                 assert corr[i, j] == pytest.approx(want, abs=1e-14)
 
     def test_positive_definite_for_positive_nugget(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -153,6 +155,60 @@ class TestPipelineClosure:
         stat = ((counts - len(pits) / 20) ** 2 / (len(pits) / 20)).sum()
         p = stats.chi2.sf(stat, df=19)
         assert p > 0.01
+
+
+def _underdispersive(ratio):
+    """underdispersive_spec's truth, worked out by hand: spread 0.5, member-bias sd 0.1, 20 members."""
+    s2bar = 0.5 ** 2 + 0.1 ** 2 / (1.0 + 1.0 / 20)
+    sigma2 = s2bar / ratio ** 2
+    return NgrPlusTruth(a=0.5 * math.sqrt(sigma2), b=(0.05,), c=sigma2 - s2bar, d=1.0)
+
+
+DEFAULT_TRUTH = NgrPlusTruth(a=1.0, b=(0.05,), c=1.0, d=1.0)
+
+# spec text -> the SynthSpec it stands for, built by hand
+SPEC_RECORDS = [
+    ({"recipe": "default"},
+     SynthSpec(n_stations=100, n_days=85, n_members=20, truth=DEFAULT_TRUTH, theta=0.2, range_km=150.0)),
+    ({"recipe": "default", "n_stations": "40", "n_days": "60", "seed": "7"},  # README's example
+     SynthSpec(n_stations=40, n_days=60, n_members=20, truth=DEFAULT_TRUTH, theta=0.2, range_km=150.0, seed=7)),
+    ({"recipe": "correlated", "theta": "0.5", "layout": "grid", "start_day": "2023-06-01"},
+     SynthSpec(n_stations=100, n_days=85, n_members=20, truth=DEFAULT_TRUTH, theta=0.5, range_km=150.0,
+               layout="grid", start_day="2023-06-01")),
+    ({"recipe": "underdispersive"},
+     SynthSpec(n_stations=100, n_days=55, n_members=20, truth=_underdispersive(0.25), theta=1.0,
+               spread_cycle=(0.5,), member_bias_sd=0.1)),
+    ({"recipe": "underdispersive", "ratio": "0.5", "n_days": "40", "seed": "3"},
+     SynthSpec(n_stations=100, n_days=40, n_members=20, truth=_underdispersive(0.5), theta=1.0, seed=3,
+               spread_cycle=(0.5,), member_bias_sd=0.1)),
+    ({"recipe": "zero-noise"},
+     SynthSpec(n_stations=20, n_days=10, n_members=8, truth=NgrPlusTruth(a=0.5, b=(0.12,), c=0.0, d=0.0), theta=1.0)),
+    ({"recipe": "zero-noise", "spread_cycle": "0.5, 1.5", "width_km": "200", "base_temp": "5"},
+     SynthSpec(n_stations=20, n_days=10, n_members=8, truth=NgrPlusTruth(a=0.5, b=(0.12,), c=0.0, d=0.0), theta=1.0,
+               spread_cycle=(0.5, 1.5), width_km=200.0, base_temp=5.0)),
+    ({"n_stations": "6", "n_days": "9", "n_members": "3"},
+     SynthSpec(n_stations=6, n_days=9, n_members=3, truth=DEFAULT_TRUTH)),
+    ({"truth": "ngr+", "n_stations": "6", "n_days": "9", "n_members": "3", "a": "2", "b": "0.1,0.2,0.3",
+      "c": "0.5", "d": "0.7", "range_km": "90", "day_sd": "2", "latent_sd": "1", "height_km": "300"},
+     SynthSpec(n_stations=6, n_days=9, n_members=3, truth=NgrPlusTruth(a=2.0, b=(0.1, 0.2, 0.3), c=0.5, d=0.7),
+               range_km=90.0, day_sd=2.0, latent_sd=1.0, height_km=300.0)),
+    ({"truth": "ngrc", "n_stations": "5", "n_days": "8", "n_members": "4"},
+     SynthSpec(n_stations=5, n_days=8, n_members=4, truth=NgrCTruth(b=(0.05,), c=0.5, d=1.0))),
+    ({"truth": "ngrc", "n_stations": "5", "n_days": "8", "n_members": "2", "b": "0.4, 0.6", "c": "0.3", "d": "2"},
+     SynthSpec(n_stations=5, n_days=8, n_members=2, truth=NgrCTruth(b=(0.4, 0.6), c=0.3, d=2.0))),
+    ({"truth": "bma", "n_stations": "4", "n_days": "5", "n_members": "3", "weights": "0.5,0.3,0.2"},
+     SynthSpec(n_stations=4, n_days=5, n_members=3, truth=BmaTruth(
+         a=(0.0, 0.0, 0.0), b=(1.0, 1.0, 1.0), weights=(0.5, 0.3, 0.2), sigma2=1.0, member_draw="per_day"))),
+    ({"truth": "bma", "n_stations": "4", "n_days": "5", "n_members": "2", "weights": "0.6,0.4", "a": "0.1,-0.1",
+      "b": "0.9", "sigma2": "2.5", "member_draw": "per_row", "seed": "11"},
+     SynthSpec(n_stations=4, n_days=5, n_members=2, seed=11, truth=BmaTruth(
+         a=(0.1, -0.1), b=(0.9, 0.9), weights=(0.6, 0.4), sigma2=2.5, member_draw="per_row"))),
+]
+
+
+@pytest.mark.parametrize("text,record", SPEC_RECORDS)
+def test_spec_text_loads_to_its_record(text, record):
+    assert parse_synth_spec(text) == record
 
 
 class TestParseSpec:

@@ -37,6 +37,7 @@ from enspost.verify import (
     spatial_median,
     temp_difference_pit,
     threshold_prob,
+    tie_broken_ranks,
     verification_rank,
 )
 from tests.conftest import allocating_energy_score, allocating_spatial_median
@@ -394,6 +395,14 @@ class TestBandDepth:
                         )
                         brute += inside / d
                 assert pre[i] == pytest.approx(brute, abs=1e-10)
+
+    def test_preranks_match_a_loop_over_coordinates(self):
+        vecs = np.round(seeded_rng(6, "bd4").normal(size=(21, 30)), 1)  # ties in most coordinates
+        rng, loop = seeded_rng(0, "bd"), seeded_rng(0, "bd")
+        ranks = [tie_broken_ranks(vecs[:, k], loop) for k in range(30)]
+        want = sum((21 - r) * (r - 1.0) for r in ranks) / 30 + 20.0
+        np.testing.assert_array_equal(band_depth_preranks(vecs, rng), want)
+        assert rng.random() == loop.random()
 
     def test_tie_randomization_is_reproducible(self):
         vecs = np.zeros((4, 2))
