@@ -42,7 +42,7 @@ from .spatial import (
     sample_fields,
     standardize_errors,
 )
-from .synth import SynthSpec, brute_force_crps, generate, generate_with_truth, parse_synth_spec
+from .synth import SynthSpec, generate, generate_with_truth, parse_synth_spec
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "SynthSpec",
     "TrainingWindow",
     "VariogramFit",
-    "brute_force_crps",
     "build_correlation_matrix",
     "build_spatial_ngr",
     "crps_gaussian",

@@ -27,7 +27,6 @@ from .core import (
     impute,
 )
 from .spatial import (
-    StandardizedErrorPanel,
     VariogramFit,
     build_correlation_matrix,
     cholesky_with_jitter,
@@ -305,22 +304,14 @@ def fit_spatial_bma(
     sigma = math.sqrt(bma.sigma2)
     stations = data.stations
     r_max = stations.max_distance()
-    days = window.training_days
-
-    panels = []
-    for m in range(bma.members):
-        values = (Y - bma.a[m] - bma.b[m] * F[:, :, m]) / sigma
-        panels.append(StandardizedErrorPanel(days, stations.ids, values))
+    panels = [(Y - bma.a[m] - bma.b[m] * F[:, :, m]) / sigma for m in range(bma.members)]
 
     pooled_fit = None
 
     def pooled() -> VariogramFit:
         nonlocal pooled_fit
         if pooled_fit is None:
-            stacked = np.concatenate([p.values for p in panels], axis=0)
-            labels = tuple(f"{d}/m{m + 1}" for m in range(bma.members) for d in days)
-            panel = StandardizedErrorPanel(labels, stations.ids, stacked)
-            pooled_fit = fit_variogram(empirical_variogram(panel, stations), r_max=r_max)
+            pooled_fit = fit_variogram(empirical_variogram(np.concatenate(panels), stations), r_max=r_max)
         return pooled_fit
 
     fits = []

@@ -20,6 +20,7 @@ from .core import StationSet, seeded_rng
 from .experiment import (
     METHODS,
     SPATIAL_MODES,
+    combo_label,
     draw_fields,
     fit_spatial,
     parse_experiment_config,
@@ -75,7 +76,7 @@ def cmd_fit(args) -> int:
     data = load_data_dir(args.data)
     window = _window_for(data, args.day, args.window)
     validate_combo(args.method, args.spatial)
-    params = METHODS[args.method].fit(data, window, None)
+    params = METHODS[args.method].fit(data, window)
     write_params(args.out, args.method, params, window, fit_spatial(args.spatial, args.method, params, data, window))
     print(f"fitted {args.method} for {args.day} -> {args.out}")
     return 0
@@ -103,7 +104,8 @@ def cmd_sample(args) -> int:
     sample, _ = draw_fields(
         args.spatial, law, data.forecasts[t][rows],
         StationSet(data.stations[s] for s in np.flatnonzero(rows)), args.n,
-        seeded_rng(args.seed, f"sample/{method}/{args.spatial}/{day}"), seeded_rng(args.seed, f"ties/{day}"), spatial,
+        seeded_rng(args.seed, f"sample/{combo_label(method, args.spatial)}/{day}"),
+        seeded_rng(args.seed, f"ties/{day}"), spatial,
     )
     save_fields_csv(sample, args.out)
     print(f"wrote {sample.n_samples} fields ({sample.provenance}) for {day} -> {args.out}")

@@ -64,7 +64,7 @@ log = logging.getLogger(__name__)
 class Method:
     """How one method is fitted, applied and stored; the values of METHODS."""
 
-    fit: Callable  # (data, window, previous day's params or None) -> params
+    fit: Callable  # (data, window) -> params
     predictor: Callable  # (params, stations) -> ((station positions (n,), member forecasts (n, M)) -> predictive law)
     record: type  # the params dataclass, whose fields a params file holds
 
@@ -75,21 +75,20 @@ def _ngrc_predictor(params, stations: StationSet):
     return lambda positions, forecasts: ngr_mod.predict_ngr_c(params, rows[positions], forecasts)
 
 
+# each fit is looked up in its module when called, so one patched in there (by a tracer, say) is the one run
 METHODS = {
     "ngr+": Method(
-        fit=lambda data, window, prev: ngr_mod.fit_ngr_plus(data, window, init=prev),
+        fit=lambda data, window: ngr_mod.fit_ngr_plus(data, window),
         predictor=lambda params, stations: lambda positions, forecasts: ngr_mod.predict_ngr_plus(params, forecasts),
         record=ngr_mod.NgrPlusParams,
     ),
     "ngrc": Method(
-        fit=lambda data, window, prev: ngr_mod.fit_ngr_c(data, window, init=prev),
+        fit=lambda data, window: ngr_mod.fit_ngr_c(data, window),
         predictor=_ngrc_predictor,
         record=ngr_mod.NgrCParams,
     ),
     "bma": Method(
-        # no warm start from prev: EM's weight update is multiplicative, so a
-        # weight that reached 0 on one day could never recover on the next
-        fit=lambda data, window, prev: bma_mod.fit_bma(data, window),
+        fit=lambda data, window: bma_mod.fit_bma(data, window),
         predictor=lambda params, stations: lambda positions, forecasts: bma_mod.predict_bma(params, forecasts),
         record=bma_mod.BmaParams,
     ),
@@ -285,12 +284,12 @@ class ActiveDay:
     stations: StationSet  # their stations: one set, so one distance matrix, for every combo
 
 
-def fit_methods(methods, data: EnsembleDataset, window: TrainingWindow, prev: dict) -> dict:
-    """Each method's fit, warm-started from prev, which takes it; a numerical failure is logged and left out."""
+def fit_methods(methods, data: EnsembleDataset, window: TrainingWindow) -> dict:
+    """Each method's fit on the window alone; a numerical failure is logged and left out."""
     fits = {}
     for method in methods:
         try:
-            fits[method] = prev[method] = METHODS[method].fit(data, window, prev.get(method))
+            fits[method] = METHODS[method].fit(data, window)
         except _DAY_FAILURES as exc:
             log.warning("day %s: %s fit failed: %s", window.target_day, method, exc)
     return fits
@@ -387,7 +386,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     band_depth: dict = {lab: [] for lab in all_labels}
     failed: dict = {lab: [] for lab in all_labels}
     n_warnings = 0
-    prev: dict = {}
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -399,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             act_set = StationSet(data.stations[s] for s in np.flatnonzero(active))
             day = ActiveDay(window, obs[active], fc[active], act_set)
 
-            fits = fit_methods(methods, data, window, prev)
+            fits = fit_methods(methods, data, window)
             n_warnings += len(methods) - len(fits)
             for lab in bare + labels:
                 if lab.partition("/")[0] not in fits:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
-
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr
@@ -219,26 +217,17 @@ def _descend(objective, x0: np.ndarray, what: str):
     return x_best, f_best, grad_norm, grad_norm <= 1e-6
 
 
-def fit_ngr_plus(
-    data: EnsembleDataset,
-    window: TrainingWindow,
-    init: Optional[NgrPlusParams] = None,
-) -> NgrPlusParams:
+def fit_ngr_plus(data: EnsembleDataset, window: TrainingWindow) -> NgrPlusParams:
     """Fit the global regression by minimizing mean CRPS over the window.
 
-    `init` warm-starts the optimizer (typically the previous day's solution);
-    the default start is a = 0, beta_m = sqrt(1/M), c_raw = d_raw = 1. The
-    returned parameters never score worse than the start.
+    The descent starts at a = 0, beta_m = sqrt(1/M), c_raw = d_raw = 1, and
+    the returned parameters never score worse than that start.
     """
     y, F, S2, _, _ = _training_rows(data, window)
     M = data.members
     if y.size < M + 3:
         raise ValueError(f"need at least M+3 = {M + 3} training pairs, have {y.size}")
-    if init is None:
-        init = NgrPlusParams(0.0, np.full(M, math.sqrt(1.0 / M)), 1.0, 1.0)
-    if init.beta.size != M:
-        raise ValueError(f"init has {init.beta.size} member weights, dataset has {M}")
-    x0 = np.concatenate([[init.a], init.beta, [init.c_raw, init.d_raw]])
+    x0 = np.concatenate([[0.0], np.full(M, math.sqrt(1.0 / M)), [1.0, 1.0]])
 
     def objective(x):
         a, beta = x[0], x[1:1 + M]
@@ -282,11 +271,7 @@ def predict_ngr_plus(params: NgrPlusParams, forecasts) -> GaussianPredictive:
 # locally adaptive variant
 
 
-def fit_ngr_c(
-    data: EnsembleDataset,
-    window: TrainingWindow,
-    init: Optional[NgrCParams] = None,
-) -> NgrCParams:
+def fit_ngr_c(data: EnsembleDataset, window: TrainingWindow) -> NgrCParams:
     """Two-step fit: ridge least squares for b, then CRPS descent for (c, d).
 
     Step one regresses observed anomalies on member forecast anomalies around
@@ -295,8 +280,7 @@ def fit_ngr_c(
     constrained). Station-day pairs with a missing observation are dropped;
     stations with fewer than 5 usable pairs are left out of the fit and
     carry no climatology. xi_s^2 is the mean squared step-one residual at
-    station s. `init` (typically the previous day's fit) starts the descent
-    at its (c_raw, d_raw); the default start is (1, 1).
+    station s. The descent starts at (c_raw, d_raw) = (1, 1).
     """
     y, F, S2, s_rows, _ = _training_rows(data, window)
     M = data.members
@@ -343,8 +327,7 @@ def fit_ngr_c(
         ])
         return value, grad
 
-    x0 = np.array([1.0, 1.0] if init is None else [init.c_raw, init.d_raw])
-    x_best, f_best, grad_norm, converged = _descend(objective, x0, "variance")
+    x_best, f_best, grad_norm, converged = _descend(objective, np.array([1.0, 1.0]), "variance")
 
     return NgrCParams(
         b=b,

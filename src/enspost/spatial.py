@@ -23,28 +23,10 @@ from .core import (
     MultivariatePredictive,
     StationSet,
     TrainingWindow,
-    _readonly,
 )
 
 # Cholesky retry ladder: diagonal jitter escalates until factorization works.
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-
-
-@dataclass(frozen=True)
-class StandardizedErrorPanel:
-    """(day, station) panel of standardized forecast errors; NaN = missing."""
-
-    days: tuple[str, ...]
-    station_ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != (len(self.days), len(self.station_ids)):
-            raise ValueError(f"panel shape {v.shape} does not match days x stations")
-        object.__setattr__(self, "days", tuple(self.days))
-        object.__setattr__(self, "station_ids", tuple(self.station_ids))
-        object.__setattr__(self, "values", _readonly(v))
 
 
 @dataclass(frozen=True)
@@ -77,7 +59,7 @@ def standardize_errors(
     window: TrainingWindow,
     mu: np.ndarray,
     sigma: np.ndarray,
-) -> StandardizedErrorPanel:
+) -> np.ndarray:
     """(y - mu) / sigma over the window days; missing observations stay NaN.
 
     mu and sigma are (len(window), n_stations) marginal predictive moments for
@@ -91,16 +73,15 @@ def standardize_errors(
         raise ValueError(f"mu/sigma must have shape {shape}")
     if np.any(sigma < math.sqrt(VARIANCE_FLOOR) * (1.0 - 1e-12)):
         raise ValueError("predictive sd below the variance floor")
-    values = (obs - mu) / sigma
-    return StandardizedErrorPanel(window.training_days, data.stations.ids, values)
+    return (obs - mu) / sigma
 
 
 def empirical_variogram(
-    panel: StandardizedErrorPanel,
+    panel: np.ndarray,
     stations: StationSet,
     n_bins: int = 20,
 ) -> tuple[VariogramBin, ...]:
-    """Pair-averaged semivariances on equal-count distance bins.
+    """Pair-averaged semivariances of a (days, stations) panel on equal-count distance bins.
 
     Each station pair contributes the mean over days of half its squared
     error difference; pairs sharing no day with both values present are
@@ -110,17 +91,18 @@ def empirical_variogram(
     of the NaN-zeroed panel and its mask, so they do not depend on the BLAS
     build or its thread count; pairs and their order are cached on stations.
     """
-    if tuple(stations.ids) != panel.station_ids:
-        raise ValueError("panel stations do not match the station set")
+    panel = np.asarray(panel, dtype=float)
     n = len(stations)
+    if panel.ndim != 2 or panel.shape[1] != n:
+        raise ValueError(f"panel shape {panel.shape} is not (days, {n} stations)")
     if n < 2:
         raise ValueError("need at least two stations")
     if n_bins < 1:
         raise ValueError("n_bins must be positive")
     iu, ju, pair_dist, order = stations.station_pairs()
-    present = ~np.isnan(panel.values)
+    present = ~np.isnan(panel)
     mask = present.astype(float)
-    e = np.where(present, panel.values, 0.0)
+    e = np.where(present, panel, 0.0)
     counts = np.einsum("ti,tj->ij", mask, mask)[iu, ju]
     keep = counts > 0
     if not keep.any():

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     EnsembleDataset,
-    MixturePredictive,
     Station,
     StationSet,
     _readonly,
@@ -274,46 +273,6 @@ def generate_with_truth(spec: SynthSpec) -> tuple[EnsembleDataset, TruthFields]:
 def generate(spec: SynthSpec) -> EnsembleDataset:
     """Simulate one panel, discarding the truth bookkeeping."""
     return generate_with_truth(spec)[0]
-
-
-# ---------------------------------------------------------------------------
-# brute-force score oracle
-
-
-def _trapezoid_side(cdf, a: float, b: float, step: float, right_of_obs: bool) -> float:
-    if b <= a:
-        return 0.0
-    n = max(int(math.ceil((b - a) / step)), 1)
-    x = np.linspace(a, b, n + 1)
-    f = np.asarray(cdf(x), dtype=float)
-    g = (f - 1.0) ** 2 if right_of_obs else f ** 2
-    return float(np.trapezoid(g, x))
-
-
-def brute_force_crps(dist, y: float, grid_step: Optional[float] = None, max_points: int = 4_000_000) -> float:
-    """CRPS by direct quadrature of the squared-CDF integral.
-
-    Integrates (F(x) - 1{x >= y})^2 over [mean - 10 sd, mean + 10 sd]
-    (per-component bounds for mixtures), trapezoidal rule on each side of
-    the kink at y. Independent of any closed form, so it can referee them.
-    """
-    y = float(y)
-    if isinstance(dist, MixturePredictive):
-        sd = np.sqrt(dist.variances)
-        lo = float(np.min(dist.means - 10.0 * sd))
-        hi = float(np.max(dist.means + 10.0 * sd))
-        base_sd = float(sd.min())
-    else:
-        lo = dist.mean - 10.0 * dist.sd
-        hi = dist.mean + 10.0 * dist.sd
-        base_sd = dist.sd
-    step = float(grid_step) if grid_step is not None else base_sd / 2000.0
-    if step <= 0:
-        raise ValueError("grid_step must be positive")
-    lo, hi = min(lo, y), max(hi, y)
-    if (hi - lo) / step > max_points:
-        step = (hi - lo) / max_points
-    return _trapezoid_side(dist.cdf, lo, y, step, False) + _trapezoid_side(dist.cdf, y, hi, step, True)
 
 
 # ---------------------------------------------------------------------------

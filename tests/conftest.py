@@ -1,12 +1,21 @@
 import csv
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
-from enspost.core import VARIANCE_FLOOR, EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
+from enspost.core import (
+    VARIANCE_FLOOR,
+    EnsembleDataset,
+    MixturePredictive,
+    Station,
+    StationSet,
+    TrainingWindow,
+    seeded_rng,
+)
 from enspost.ingest import LoadError
 from enspost.spatial import VariogramBin, VariogramFit, cholesky_with_jitter
 
@@ -149,7 +158,7 @@ def allocating_spatial_median(points, *, tol=1e-8, max_iter=1000):
 
 def pairloop_empirical_variogram(panel, stations, n_bins=20):
     """Equal-count variogram bins from one station pair at a time, which the Gram-sum bins must reproduce."""
-    e = panel.values
+    e = panel
     dist = stations.pairwise_distances()
     pairs = []
     for i in range(len(stations)):
@@ -354,6 +363,42 @@ def rowwise_fields_csv(sample, path):
 def last_window(data, window_length=25):
     days = data.days
     return TrainingWindow(days[-1], tuple(days[-1 - window_length:-1]))
+
+
+def _trapezoid_side(cdf, a: float, b: float, step: float, right_of_obs: bool) -> float:
+    if b <= a:
+        return 0.0
+    n = max(int(math.ceil((b - a) / step)), 1)
+    x = np.linspace(a, b, n + 1)
+    f = np.asarray(cdf(x), dtype=float)
+    g = (f - 1.0) ** 2 if right_of_obs else f ** 2
+    return float(np.trapezoid(g, x))
+
+
+def brute_force_crps(dist, y: float, grid_step: Optional[float] = None, max_points: int = 4_000_000) -> float:
+    """CRPS by direct quadrature of the squared-CDF integral.
+
+    Integrates (F(x) - 1{x >= y})^2 over [mean - 10 sd, mean + 10 sd]
+    (per-component bounds for mixtures), trapezoidal rule on each side of
+    the kink at y. Independent of any closed form, so it can referee them.
+    """
+    y = float(y)
+    if isinstance(dist, MixturePredictive):
+        sd = np.sqrt(dist.variances)
+        lo = float(np.min(dist.means - 10.0 * sd))
+        hi = float(np.max(dist.means + 10.0 * sd))
+        base_sd = float(sd.min())
+    else:
+        lo = dist.mean - 10.0 * dist.sd
+        hi = dist.mean + 10.0 * dist.sd
+        base_sd = dist.sd
+    step = float(grid_step) if grid_step is not None else base_sd / 2000.0
+    if step <= 0:
+        raise ValueError("grid_step must be positive")
+    lo, hi = min(lo, y), max(hi, y)
+    if (hi - lo) / step > max_points:
+        step = (hi - lo) / max_points
+    return _trapezoid_side(dist.cdf, lo, y, step, False) + _trapezoid_side(dist.cdf, y, hi, step, True)
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from enspost.experiment import ALL_COMBOS, ExperimentConfig, run_experiment
 from enspost.ingest import rolling_windows, save_dataset
 from enspost.ngr import crps_gaussian, fit_ngr_plus, predict_ngr_plus
 from enspost.spatial import (
-    StandardizedErrorPanel,
     VariogramBin,
     build_correlation_matrix,
     build_spatial_ngr,
@@ -35,7 +34,7 @@ from enspost.spatial import (
     sample_fields,
     variogram_model,
 )
-from enspost.synth import NgrPlusTruth, SynthSpec, brute_force_crps, default_spec, generate, generate_with_truth, underdispersive_spec
+from enspost.synth import NgrPlusTruth, SynthSpec, default_spec, generate, generate_with_truth, underdispersive_spec
 from enspost.verify import (
     band_depth_preranks,
     band_depth_rank,
@@ -51,6 +50,7 @@ from enspost.verify import (
     temp_difference_pit,
     verification_rank,
 )
+from tests.conftest import brute_force_crps
 
 # E[crps(N(0,1), 0)] = (sqrt(2) - 1) / sqrt(pi), high-precision reference
 CRPS_STD_AT_0 = 0.23369497725510907
@@ -219,15 +219,13 @@ def test_variogram_recovery():
     assert len(stations) == 200
     corr = build_correlation_matrix((theta_true, range_true), stations)
     chol, _ = cholesky_with_jitter(corr)
-    days = tuple(f"d{t:02d}" for t in range(25))
 
     hits = 0
     estimates = []
     for seed in range(20):
         rng = seeded_rng(seed, "acc/variogram")
         errors = rng.standard_normal((25, 200)) @ chol.T
-        panel = StandardizedErrorPanel(days, stations.ids, errors)
-        fit = fit_variogram(empirical_variogram(panel, stations, n_bins=199))
+        fit = fit_variogram(empirical_variogram(errors, stations, n_bins=199))
         ok = abs(fit.theta - theta_true) <= 0.2 * theta_true and abs(fit.range_km - range_true) <= 0.2 * range_true
         hits += ok
         estimates.append((round(fit.theta, 3), round(fit.range_km, 1)))
@@ -402,9 +400,8 @@ def test_underdispersion_correction():
     windows = rolling_windows(data, 25)
     assert len(windows) == 30
     covered_raw, covered_fit, crps_raw, crps_fit = [], [], [], []
-    params = None
     for window in windows:
-        params = fit_ngr_plus(data, window, init=params)
+        params = fit_ngr_plus(data, window)
         t = data.day_index(window.target_day)
         for s in range(data.n_stations):
             y = float(data.observations[t, s])

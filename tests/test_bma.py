@@ -21,11 +21,12 @@ from enspost.ecc import ecc_quantiles
 from enspost.ingest import rolling_windows
 from enspost.ngr import crps_gaussian, crps_mixture
 from enspost.spatial import build_correlation_matrix, cholesky_with_jitter
-from enspost.synth import BmaTruth, SynthSpec, brute_force_crps, default_spec, generate
+from enspost.synth import BmaTruth, SynthSpec, default_spec, generate
 from enspost.verify import crps_sample
 from tests.conftest import (
     allocating_em,
     assert_batch_matches_rows,
+    brute_force_crps,
     last_window,
     make_dataset,
     scalar_newton,

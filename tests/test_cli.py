@@ -13,7 +13,7 @@ from enspost import cli, ingest
 from enspost.bma import predict_bma
 from enspost.cli import load_fields_csv, main
 from enspost.core import EnsembleDataset, ForecastFieldSample, Station, StationSet
-from enspost.experiment import predict_rows, read_params
+from enspost.experiment import ALL_COMBOS, combo_label, predict_rows, read_params
 from enspost.ngr import predict_ngr_c
 from enspost.synth import default_spec, generate
 from enspost.ingest import LoadError, data_paths, load_data_dir, load_dataset, save_dataset, save_fields_csv
@@ -343,6 +343,46 @@ class TestExperimentCommand:
                    "--spatial", "grf", "--window", "14"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestChainsMatchTheExperiment:
+    """On a fully observed day, each combo's single-day chain repeats the experiment's fit and field scores."""
+
+    DAY, SEED, FIELDS = "2024-01-18", 5, 120  # the season's last target day, three days after its first
+
+    @pytest.fixture(scope="class")
+    def season(self, workspace, tmp_path_factory):
+        out = tmp_path_factory.mktemp("season")
+        cfg = out / "exp.cfg"
+        cfg.write_text(f"data = {workspace / 'data'}\nout = {out}\nwindow = 14\nfields = {self.FIELDS}\n"
+                       f"seed = {self.SEED}\ncombos = {','.join(combo_label(*c) for c in ALL_COMBOS)}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        return out
+
+    def fit(self, workspace, tmp_path, method, mode):
+        params = tmp_path / "params.json"
+        assert main(["fit", "--data", str(workspace / "data"), "--method", method, "--day", self.DAY,
+                     "--window", "14", "--spatial", mode, "--out", str(params)]) == 0
+        return params
+
+    @pytest.mark.parametrize("method,mode", ALL_COMBOS)
+    def test_fit_writes_the_experiments_params_bytes(self, workspace, season, tmp_path, method, mode):
+        label = combo_label(method, mode).replace("/", "_")
+        written = self.fit(workspace, tmp_path, method, mode).read_bytes()
+        assert written == (season / "params" / label / f"{self.DAY}.json").read_bytes()
+
+    @pytest.mark.parametrize("method,mode", ALL_COMBOS)
+    def test_sample_and_verify_give_the_experiments_field_scores(self, workspace, season, tmp_path, method, mode):
+        data, params, fields = str(workspace / "data"), self.fit(workspace, tmp_path, method, mode), tmp_path / "f.csv"
+        assert main(["sample", "--data", data, "--params", str(params), "--spatial", mode, "--n", str(self.FIELDS),
+                     "--seed", str(self.SEED), "--out", str(fields)]) == 0
+        assert main(["verify", "--fields", str(fields), "--data", data, "--day", self.DAY,
+                     "--out", str(tmp_path / "scores")]) == 0
+        got = {r.score: r.value for r in ScoreTable.read_csv(tmp_path / "scores" / "verify_scores.csv").rows}
+        want = {r.score: r.value for r in ScoreTable.read_csv(season / "scores.csv").rows
+                if (r.date, r.unit, r.method) == (self.DAY, "field", combo_label(method, mode))}
+        for score in ("es", "ee"):
+            assert got[score] == pytest.approx(want[score], rel=1e-12, abs=0.0), score
 
 
 class TestErrorPaths:

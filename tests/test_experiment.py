@@ -11,6 +11,7 @@ from enspost.cli import main
 from enspost.core import EnsembleDataset, Station, StationSet, TrainingWindow, seeded_rng
 from enspost.ecc import ecc_quantiles, ecc_reorder, rank_permutation
 from enspost.experiment import (
+    ALL_COMBOS,
     METHODS,
     ExperimentConfig,
     _moment_panels,
@@ -305,11 +306,10 @@ class TestRunExperiment:
         assert sum(counts("rank_raw.csv")) == int(ranked.sum())
         for method in ("ngr+", "bma"):
             pits = [[] for _ in range(data.n_stations)]
-            prev = None
             for window, t in zip(windows, targets):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    params = prev = METHODS[method].fit(data, window, prev)
+                    params = METHODS[method].fit(data, window)
                 rows = np.isfinite(obs[t]) & np.isfinite(fc[t]).any(axis=1)
                 ids = np.array(data.stations.ids)[rows]
                 law = METHODS[method].predictor(params, data.stations)(ids, fc[t][rows])
@@ -403,6 +403,25 @@ class TestRunExperiment:
         scored = {r.date for r in result.table.rows if r.method == "ngr+/grf" and r.score == "es"}
         assert target in scored
 
+    def test_a_block_of_the_season_repeats_its_days(self, tmp_path):
+        # each day is fitted, sampled and scored from its own window and seed streams, so a run that
+        # starts five target days later writes the same rows and params for every day it shares
+        data = generate(default_spec(4, n_stations=10, n_days=24, n_members=5))
+        block = EnsembleDataset(data.stations, data.days[5:], data.forecasts[5:], data.observations[5:])
+        for name, part in (("season", data), ("block", block)):
+            (tmp_path / name).mkdir()
+            save_dataset(part, *data_paths(tmp_path / name))
+            run_experiment(tiny_config(tmp_path / name, tmp_path / name / "out", combos=ALL_COMBOS))
+        shared = set(block.days[14:])
+        rows = {name: [line for line in (tmp_path / name / "out" / "scores.csv").read_text().splitlines()
+                       if line.split(",")[0] in shared] for name in ("season", "block")}
+        assert len(rows["block"]) > 0 and rows["block"] == rows["season"]
+        params = sorted((tmp_path / "block" / "out" / "params").rglob("*.json"))
+        assert len(params) == len(ALL_COMBOS) * len(shared)
+        for path in params:
+            twin = tmp_path / "season" / "out" / path.relative_to(tmp_path / "block" / "out")
+            assert path.read_bytes() == twin.read_bytes(), path.relative_to(tmp_path / "block")
+
     def test_window_longer_than_dataset_rejected(self, data_dir, tmp_path):
         with pytest.raises(ValueError, match="target day"):
             run_experiment(tiny_config(data_dir, tmp_path / "w", window_length=30))
@@ -451,7 +470,7 @@ def test_standardization_moments_are_each_rows_predictive_law(method):
     data = generate(default_spec(1000))
     mismatched = 0
     for window in rolling_windows(data, 25)[:4]:
-        params = METHODS[method].fit(data, window, None)
+        params = METHODS[method].fit(data, window)
         mu, sigma = _moment_panels(method, params, data, window)
         F = data.training_panels(window)[0]
         for t in range(len(window)):
@@ -480,7 +499,7 @@ class TestParamsFile:
     @staticmethod
     def write(season, path, method, mode="none"):
         data, _, window = season
-        params = METHODS[method].fit(data, window, None)
+        params = METHODS[method].fit(data, window)
         spatial = fit_spatial(mode, method, params, data, window)
         write_params(path, method, params, window, spatial)
         return params, spatial

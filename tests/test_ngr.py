@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enspost.core import GaussianPredictive, Station, StationSet, TrainingWindow, impute
+from enspost.core import GaussianPredictive, Station, StationSet, impute
 from enspost.ngr import (
     NgrPlusParams,
     crps_gaussian,
@@ -13,8 +13,8 @@ from enspost.ngr import (
     predict_ngr_c,
     predict_ngr_plus,
 )
-from enspost.synth import NgrPlusTruth, SynthSpec, brute_force_crps, generate
-from tests.conftest import last_window, make_dataset
+from enspost.synth import NgrPlusTruth, SynthSpec, generate
+from tests.conftest import brute_force_crps, last_window, make_dataset
 
 # mpmath references, 30 digits
 CRPS_STD_AT_0 = 0.23369497725510907
@@ -90,8 +90,8 @@ class TestFitNgrPlus:
     def test_never_worse_than_init(self):
         data = _spec_example_dataset(seed=3)
         window = last_window(data)
-        init = NgrPlusParams(1.0, np.sqrt([0.5, 0.5]), 1.0, np.sqrt(0.2))
-        fitted = fit_ngr_plus(data, window, init=init)
+        init = NgrPlusParams(0.0, np.sqrt([0.5, 0.5]), 1.0, 1.0)  # the fit's start: a = 0, beta = sqrt(1/M)
+        fitted = fit_ngr_plus(data, window)
         base = _window_objective(init, data, window)
         assert fitted.objective <= base + 1e-12
 
@@ -212,14 +212,3 @@ class TestFitNgrC:
             k, k_alone = rows[data.n_stations + j], alone_rows[-1]
             assert wide.ybar[k] == alone.ybar[k_alone] and wide.xi2[k] == alone.xi2[k_alone]
             assert wide.fbar[k].tolist() == alone.fbar[k_alone].tolist()
-
-
-class TestWarmStart:
-    def test_warm_start_reaches_same_objective(self):
-        data = _spec_example_dataset(seed=21)
-        days = data.days
-        w1 = TrainingWindow(days[25], tuple(days[:25]))
-        p1 = fit_ngr_plus(data, w1)
-        p_cold = fit_ngr_plus(data, w1)
-        p_warm = fit_ngr_plus(data, w1, init=p1)
-        assert p_warm.objective <= p_cold.objective + 1e-9

@@ -1,4 +1,5 @@
-"""The README's library example and single-day CLI example run as written, and its key lists are the parsers'."""
+"""The README's library example and single-day CLI example run as written, its quick-start config
+asks for every combo, and its key lists are the parsers'."""
 
 import dataclasses
 import re
@@ -6,8 +7,8 @@ import shlex
 from pathlib import Path
 
 from enspost.cli import load_fields_csv, main
-from enspost.experiment import _CONFIG_KEYS, ExperimentConfig
-from enspost.ingest import cast_fields, save_dataset
+from enspost.experiment import _CONFIG_KEYS, ALL_COMBOS, ExperimentConfig, parse_experiment_config
+from enspost.ingest import cast_fields, read_key_values, save_dataset
 from enspost.synth import TRUTHS, SynthSpec, default_spec, generate
 from enspost.verify import ScoreTable
 
@@ -59,6 +60,17 @@ def test_single_day_cli_example_runs(tmp_path, monkeypatch):
     assert load_fields_csv(runs / "fields.csv").fields.shape == (1000, 40)
     scores = ScoreTable.read_csv(runs / "scores" / "verify_scores.csv")
     assert {r.score for r in scores.rows} == {"es", "ee", "ds"}
+
+
+def test_quick_start_config_asks_for_every_combo(tmp_path):
+    blocks = plain_blocks(README.read_text())
+    (config,) = [b for b in blocks if b.startswith("data =")]
+    (experiment,) = [argv for b in blocks for argv in enspost_commands(b) if argv[0] == "experiment"]
+    path = tmp_path / experiment[experiment.index("--config") + 1]
+    path.write_text(config)
+    cfg = parse_experiment_config(read_key_values(path))
+    assert cfg.combos == ALL_COMBOS
+    assert cfg.thresholds == (14.0, 18.0, 22.0)
 
 
 def key_list(text, lead):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from enspost.core import Station, StationSet, seeded_rng
 from enspost.spatial import (
-    StandardizedErrorPanel,
     VariogramBin,
     build_correlation_matrix,
     build_spatial_ngr,
@@ -72,9 +71,9 @@ class TestStandardizeErrors:
         mu = np.zeros((6, 3))
         sigma = np.full((6, 3), 2.0)
         panel = standardize_errors(data, window, mu, sigma)
-        assert panel.values.shape == (6, 3)
+        assert panel.shape == (6, 3)
         t0 = data.day_index(window.training_days[0])
-        assert panel.values[0, 0] == pytest.approx(data.observations[t0, 0] / 2.0)
+        assert panel[0, 0] == pytest.approx(data.observations[t0, 0] / 2.0)
 
     def test_missing_observation_propagates_nan(self):
         data = make_dataset(n_days=8, n_stations=3, n_members=4, seed=2)
@@ -84,16 +83,14 @@ class TestStandardizeErrors:
         window = last_window(data2, 6)
         panel = standardize_errors(data2, window, np.zeros((6, 3)), np.ones((6, 3)))
         day_pos = window.training_days.index(data2.days[1])
-        assert np.isnan(panel.values[day_pos, 2])
+        assert np.isnan(panel[day_pos, 2])
 
 
 class TestEmpiricalVariogram:
     def test_equal_count_bins(self):
         stations = make_stations(10, seed=4)
         rng = seeded_rng(0, "ev")
-        panel = StandardizedErrorPanel(
-            tuple(f"d{i}" for i in range(30)), stations.ids, rng.standard_normal((30, 10))
-        )
+        panel = rng.standard_normal((30, 10))
         bins = empirical_variogram(panel, stations, n_bins=5)
         assert len(bins) == 5
         counts = [b.n_pairs for b in bins]
@@ -105,21 +102,22 @@ class TestEmpiricalVariogram:
     def test_iid_errors_have_unit_semivariance(self):
         stations = make_stations(30, seed=5)
         rng = seeded_rng(1, "ev2")
-        panel = StandardizedErrorPanel(
-            tuple(f"d{i}" for i in range(4000)), stations.ids, rng.standard_normal((4000, 30))
-        )
+        panel = rng.standard_normal((4000, 30))
         bins = empirical_variogram(panel, stations, n_bins=10)
         for b in bins:
             assert b.gamma == pytest.approx(1.0, abs=0.08)
 
     def test_fewer_pairs_than_bins_warns(self):
         stations = make_stations(3, seed=6)
-        panel = StandardizedErrorPanel(
-            ("d1",), stations.ids, seeded_rng(0, "x").standard_normal((1, 3))
-        )
+        panel = seeded_rng(0, "x").standard_normal((1, 3))
         with pytest.warns(UserWarning, match="pairs"):
             bins = empirical_variogram(panel, stations, n_bins=20)
         assert len(bins) == 3
+
+    @pytest.mark.parametrize("shape", [(30, 9), (30,), (30, 10, 1)])
+    def test_panel_that_is_not_days_by_stations_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"not \(days, 10 stations\)"):
+            empirical_variogram(np.zeros(shape), make_stations(10, seed=4))
 
     def test_gram_sums_match_pair_loop_on_gapped_panel(self):
         # S13 sits on S1, so pairs tie in distance; S1 and S2 are never
@@ -131,9 +129,8 @@ class TestEmpiricalVariogram:
         values[rng.random(values.shape) < 0.2] = np.nan
         values[0::2, 0] = np.nan
         values[1::2, 1] = np.nan
-        panel = StandardizedErrorPanel(tuple(f"d{i}" for i in range(30)), stations.ids, values)
-        got = empirical_variogram(panel, stations, n_bins=7)
-        want = pairloop_empirical_variogram(panel, stations, n_bins=7)
+        got = empirical_variogram(values, stations, n_bins=7)
+        want = pairloop_empirical_variogram(values, stations, n_bins=7)
         assert sum(b.n_pairs for b in got) == 13 * 12 // 2 - 1
         assert [(b.distance_km, b.n_pairs) for b in got] == [(b.distance_km, b.n_pairs) for b in want]
         np.testing.assert_allclose([b.gamma for b in got], [b.gamma for b in want], rtol=1e-12, atol=0.0)
@@ -145,8 +142,7 @@ class TestEmpiricalVariogram:
         rng = seeded_rng(5, "twins")
         values = 10.0 * rng.standard_normal((25, 3))
         values[:, 1] = values[:, 0] + 1e-9 * rng.standard_normal(25)
-        panel = StandardizedErrorPanel(tuple(f"d{i}" for i in range(25)), stations.ids, values)
-        twins = empirical_variogram(panel, stations, n_bins=3)[0]
+        twins = empirical_variogram(values, stations, n_bins=3)[0]
         assert twins.distance_km == 0.0 and twins.n_pairs == 1
         assert 0.0 <= twins.gamma < 1e-12
 
@@ -187,10 +183,7 @@ class TestFitVariogram:
         chol = np.linalg.cholesky(corr)
         rng = seeded_rng(3, "grf-panel")
         vals = rng.standard_normal((1500, 60)) @ chol.T
-        panel = StandardizedErrorPanel(
-            tuple(f"d{i}" for i in range(1500)), stations.ids, vals
-        )
-        fit = fit_variogram(empirical_variogram(panel, stations))
+        fit = fit_variogram(empirical_variogram(vals, stations))
         assert fit.theta == pytest.approx(theta, abs=0.06)
         assert fit.range_km == pytest.approx(r, rel=0.25)
 
@@ -205,8 +198,7 @@ class TestFitVariogram:
         chol = np.linalg.cholesky(build_correlation_matrix((theta, r), stations))
         vals = rng.standard_normal((25, 40)) @ chol.T
         vals[rng.random(vals.shape) < 0.05] = np.nan
-        panel = StandardizedErrorPanel(tuple(f"d{i}" for i in range(25)), stations.ids, vals)
-        bins = empirical_variogram(panel, stations)
+        bins = empirical_variogram(vals, stations)
         got, want = fit_variogram(bins), multistart_fit_variogram(bins)
         assert not got.degenerate and not want.degenerate
         assert got.objective <= want.objective * (1.0 + 1e-12)
@@ -218,8 +210,7 @@ class TestFitVariogram:
         # fit is gamma = 1 everywhere, reached at the floor range for any theta
         stations = make_stations(30, seed=13)
         vals = 1.3 * seeded_rng(13, "flat").standard_normal((25, 30))
-        panel = StandardizedErrorPanel(tuple(f"d{i}" for i in range(25)), stations.ids, vals)
-        bins = empirical_variogram(panel, stations)
+        bins = empirical_variogram(vals, stations)
         fit = fit_variogram(bins, r_max=stations.max_distance())
         assert fit.degenerate
         assert fit.theta == pytest.approx(1.0 - 1e-6, rel=1e-12)

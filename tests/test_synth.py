@@ -11,7 +11,6 @@ from enspost.synth import (
     NgrCTruth,
     NgrPlusTruth,
     SynthSpec,
-    brute_force_crps,
     default_spec,
     generate,
     generate_with_truth,
@@ -20,6 +19,7 @@ from enspost.synth import (
     zero_noise_spec,
 )
 from enspost.verify import crps_sample, ensemble_range_coverage
+from tests.conftest import brute_force_crps
 
 CRPS_STD_AT_0 = 0.23369497725510907
 
