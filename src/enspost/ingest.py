@@ -23,6 +23,8 @@ A dataset directory holds the three files under those names. load_data_dir
 parses them once and keeps the parsed arrays in `.enspost-cache.npz` beside
 them, keyed by the files' contents; later loads of unchanged files read the
 arrays back instead of parsing. The cache may be deleted at any time.
+A fields CSV has its own cache, `.<name>.enspost-cache.npz` beside it, that
+save_fields_csv fills with the sample it writes and load_fields_csv reads.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import logging
 import math
 import operator
 import os
+import stat
 import tempfile
 import types
 import typing
@@ -291,42 +294,71 @@ def _content_key(paths) -> str:
 
 
 def _read_cache(path, key):
-    """The dataset stored in the cache at path under key, or None.
-
-    The arrays go through the Station, StationSet and EnsembleDataset
-    constructors, so their checks run on a hit as on a parse.
-    """
+    """The (meta, arrays) stored in the cache file at path under key, or None."""
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:  # np.load(path) leaks the file when it raises
         meta = json.loads(z["meta"].tobytes())
-        if meta["key"] != key:
+        if meta.pop("key") != key:
             return None
-        x, y, lon, lat = z["coords"].tolist()
-        lon_none, lat_none = z["coords_none"].tolist()
-        stations = StationSet(
-            Station(sid, x[i], y[i], None if lon_none[i] else lon[i], None if lat_none[i] else lat[i])
-            for i, sid in enumerate(meta["ids"]))
-        return EnsembleDataset(stations, meta["days"], z["forecasts"], z["observations"])
+        return meta, {name: z[name] for name in z.files if name != "meta"}
 
 
-def _write_cache(path, key, data: EnsembleDataset) -> None:
-    """Store data under key by an atomic replace; a directory that refuses the write is left as it is."""
-    # lon/lat None and NaN stay apart, and floats keep their bits, NaN payloads included
-    coords = np.array([[getattr(s, c) for s in data.stations] for c in ("x", "y", "lon", "lat")], dtype=float)
-    coords_none = np.array([[getattr(s, c) is None for s in data.stations] for c in ("lon", "lat")], dtype=bool)
+def _write_cache(path, key, meta: dict, arrays: dict) -> None:
+    """Store meta and arrays under key by an atomic replace; a directory that refuses the write is left as it is."""
     # one JSON text, since fixed-width numpy strings drop a trailing "\0"
-    meta = json.dumps({"key": key, "ids": data.stations.ids, "days": data.days}).encode()
+    meta = np.frombuffer(json.dumps({"key": key, **meta}).encode(), dtype=np.uint8)
     tmp = None
     try:
-        with tempfile.NamedTemporaryFile(dir=Path(path).parent, prefix=CACHE_FILE, suffix=".tmp", delete=False) as fh:
+        with tempfile.NamedTemporaryFile(dir=Path(path).parent, prefix=Path(path).name, suffix=".tmp",
+                                         delete=False) as fh:
             tmp = fh.name
-            np.savez(fh, meta=np.frombuffer(meta, dtype=np.uint8), coords=coords, coords_none=coords_none,
-                     forecasts=data.forecasts, observations=data.observations)
+            np.savez(fh, meta=meta, **arrays)
         os.replace(tmp, path)
     except OSError as exc:
-        log.info("dataset cache %s not written: %s", path, exc)
+        log.info("cache %s not written: %s", path, exc)
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+
+
+def _load_cached(paths, cache, parse, encode, decode):
+    """parse(), or decode(meta, arrays) of what the cache file holds under the paths' content key.
+
+    A cache that cannot be read or holds another key counts as absent; a
+    parse's result is stored there as encode(result) gives it.
+    """
+    try:
+        key = _content_key(paths)
+    except OSError:
+        return parse()  # the parse reports the missing file
+    with contextlib.suppress(OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        hit = _read_cache(cache, key)
+        if hit is not None:
+            log.info("loaded %s from %s", ", ".join(map(str, paths)), cache)
+            return decode(*hit)
+    result = parse()
+    with contextlib.suppress(OSError):
+        if _content_key(paths) == key:  # no file changed while it was parsed
+            _write_cache(cache, key, *encode(result))
+    return result
+
+
+def _dataset_arrays(data: EnsembleDataset):
+    # lon/lat None and NaN stay apart, and floats keep their bits, NaN payloads included
+    coords = np.array([[getattr(s, c) for s in data.stations] for c in ("x", "y", "lon", "lat")], dtype=float)
+    coords_none = np.array([[getattr(s, c) is None for s in data.stations] for c in ("lon", "lat")], dtype=bool)
+    return {"ids": data.stations.ids, "days": data.days}, {
+        "coords": coords, "coords_none": coords_none, "forecasts": data.forecasts, "observations": data.observations}
+
+
+def _dataset_from(meta, arrays) -> EnsembleDataset:
+    """The arrays go through the Station, StationSet and EnsembleDataset constructors, so their checks run on a
+    hit as on a parse."""
+    x, y, lon, lat = arrays["coords"].tolist()
+    lon_none, lat_none = arrays["coords_none"].tolist()
+    stations = StationSet(
+        Station(sid, x[i], y[i], None if lon_none[i] else lon[i], None if lat_none[i] else lat[i])
+        for i, sid in enumerate(meta["ids"]))
+    return EnsembleDataset(stations, meta["days"], arrays["forecasts"], arrays["observations"])
 
 
 def load_data_dir(root) -> EnsembleDataset:
@@ -341,21 +373,7 @@ def load_data_dir(root) -> EnsembleDataset:
     is overwritten.
     """
     paths = data_paths(root)
-    cache = Path(root) / CACHE_FILE
-    try:
-        key = _content_key(paths)
-    except OSError:
-        return load_dataset(*paths)  # the parse reports the missing file
-    with contextlib.suppress(OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        data = _read_cache(cache, key)
-        if data is not None:
-            log.info("loaded %s from %s", root, cache)
-            return data
-    data = load_dataset(*paths)
-    with contextlib.suppress(OSError):
-        if _content_key(paths) == key:  # no file changed while it was parsed
-            _write_cache(cache, key, data)
-    return data
+    return _load_cached(paths, Path(root) / CACHE_FILE, lambda: load_dataset(*paths), _dataset_arrays, _dataset_from)
 
 
 FIELDS_HEADER = ("sample", "station_id", "value_c", "provenance")
@@ -412,15 +430,50 @@ def save_dataset(dataset: EnsembleDataset, stations_path, forecasts_path, observ
     write_csv(observations_path, ("date", "station_id", "value_c"), [dataset.days, ids], [dataset.observations])
 
 
+def _fields_cache(path) -> Path:
+    """The cache file of a fields CSV: .<name>.enspost-cache.npz beside it."""
+    path = Path(path)
+    return path.with_name(f".{path.name}{CACHE_FILE}")
+
+
+def _fields_arrays(sample: ForecastFieldSample):
+    fields = np.ascontiguousarray(sample.fields)  # C order, as a parse gives it
+    return {"ids": sample.station_order, "provenance": sample.provenance}, {"fields": fields}
+
+
+def _fields_from(meta, arrays) -> ForecastFieldSample:
+    return ForecastFieldSample(meta["ids"], arrays["fields"], meta["provenance"])
+
+
 def save_fields_csv(sample: ForecastFieldSample, path) -> None:
-    """Write a sample's fields, one row per (sample, station); inverse of load_fields_csv."""
+    """Write a sample's fields, one row per (sample, station); inverse of load_fields_csv.
+
+    When the file's parse would return the sample itself (it has a field
+    and no station twice) and path is a regular file, the sample is also
+    stored in the file's cache under its content key, so that
+    load_fields_csv reads it back without parsing. A cache that cannot be
+    written is skipped.
+    """
     write_csv(path, FIELDS_HEADER, [range(1, sample.n_samples + 1), sample.station_order], [sample.fields],
               [sample.provenance])
+    if sample.fields.size and len(set(sample.station_order)) == len(sample.station_order):
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.stat(path).st_mode):
+                _write_cache(_fields_cache(path), _content_key([path]), *_fields_arrays(sample))
 
 
 def load_fields_csv(path) -> ForecastFieldSample:
-    """Read a fields CSV back into a sample; inverse of save_fields_csv. Samples are ordered by number; each
-    keeps its rows' file order, which must list the stations of the lowest-numbered sample in its order."""
+    """Read a fields CSV back into a sample; inverse of save_fields_csv.
+
+    Equal, bit for bit, to _parse_fields_csv(path); a file whose content key
+    its cache holds is read from there, and one that parses is stored there.
+    """
+    return _load_cached([path], _fields_cache(path), lambda: _parse_fields_csv(path), _fields_arrays, _fields_from)
+
+
+def _parse_fields_csv(path) -> ForecastFieldSample:
+    """The sample of a fields CSV. Samples are ordered by number; each keeps its rows' file order, which must list
+    the stations of the lowest-numbered sample in its order."""
     (slot, sid, values, provenance), table = _read(path, FIELDS_HEADER, ("int", "text", "float", "text"), raw=True)
     bad = min(table.bad[0], table.bad[2], key=lambda b: math.inf if b[0] is None else b[0])
     mixed = _first(provenance != 0)

@@ -386,16 +386,15 @@ def mad_from_half(pit_values) -> float:
 
 def composite_minimum(fields: ForecastFieldSample, subset: Optional[Sequence[str]] = None) -> np.ndarray:
     """Per-sample minimum over a station subset (default: all stations)."""
-    if subset is None:
-        cols = np.arange(len(fields.station_order))
-    else:
-        index = {sid: i for i, sid in enumerate(fields.station_order)}
-        missing = [s for s in subset if s not in index]
-        if missing:
-            raise KeyError(f"stations {missing} not in the sampled fields")
-        cols = np.array([index[s] for s in subset])
-        if cols.size == 0:
-            raise ValueError("empty station subset")
+    if subset is None or tuple(subset) == fields.station_order:
+        return fields.fields.min(axis=1)  # every station in order: no copy of the columns
+    index = {sid: i for i, sid in enumerate(fields.station_order)}
+    missing = [s for s in subset if s not in index]
+    if missing:
+        raise KeyError(f"stations {missing} not in the sampled fields")
+    cols = np.array([index[s] for s in subset])
+    if cols.size == 0:
+        raise ValueError("empty station subset")
     return fields.fields[:, cols].min(axis=1)
 
 

@@ -2,6 +2,8 @@ import ast
 import csv
 import json
 import logging
+import os
+import tempfile
 import warnings
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -383,6 +385,70 @@ class TestChainsMatchTheExperiment:
                 if (r.date, r.unit, r.method) == (self.DAY, "field", combo_label(method, mode))}
         for score in ("es", "ee"):
             assert got[score] == pytest.approx(want[score], rel=1e-12, abs=0.0), score
+
+
+class TestFieldsCache:
+    """verify reads the sample that sample wrote from the fields file's cache, and scores it as a parse would."""
+
+    DAY = "2024-01-18"
+
+    def sample(self, workspace, tmp_path, out):
+        data, params = str(workspace / "data"), tmp_path / "params.json"
+        assert main(["fit", "--data", data, "--method", "ngr+", "--day", self.DAY, "--window", "14",
+                     "--spatial", "grf", "--out", str(params)]) == 0
+        return main(["sample", "--data", data, "--params", str(params), "--spatial", "grf", "--n", "60",
+                     "--seed", "2", "--out", str(out)])
+
+    def verify(self, workspace, fields, out):
+        return main(["verify", "--fields", str(fields), "--data", str(workspace / "data"), "--day", self.DAY,
+                     "--out", str(out)])
+
+    def test_verify_of_a_hit_writes_the_bytes_of_a_parse(self, workspace, tmp_path, monkeypatch):
+        fields = tmp_path / "fields.csv"
+        assert self.sample(workspace, tmp_path, fields) == 0
+        cache = tmp_path / ".fields.csv.enspost-cache.npz"
+        assert cache.is_file()
+        with monkeypatch.context() as mp:
+            mp.setattr(ingest, "_parse_fields_csv", lambda path: pytest.fail("verify parsed the fields file"))
+            assert self.verify(workspace, fields, tmp_path / "hit") == 0
+        cache.unlink()
+        assert self.verify(workspace, fields, tmp_path / "parse") == 0
+        assert (tmp_path / "hit" / "verify_scores.csv").read_bytes() == \
+            (tmp_path / "parse" / "verify_scores.csv").read_bytes()
+
+    def test_sample_into_a_read_only_directory(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "ro"
+        out.mkdir()
+        fields = out / "fields.csv"
+        fields.touch()  # a file the directory already holds can be rewritten
+        out.chmod(0o555)
+        try:
+            if os.access(out, os.W_OK):  # the superuser writes regardless of the mode: refuse as the mode would
+                make = tempfile.NamedTemporaryFile
+
+                def refuse(*args, dir=None, **kwargs):
+                    if Path(dir) == out:
+                        raise PermissionError(13, "Permission denied", str(out))
+                    return make(*args, dir=dir, **kwargs)
+                monkeypatch.setattr(ingest.tempfile, "NamedTemporaryFile", refuse)
+            assert self.sample(workspace, tmp_path, fields) == 0
+            assert self.verify(workspace, fields, tmp_path / "scores") == 0
+        finally:
+            out.chmod(0o755)
+        assert [p.name for p in out.iterdir()] == ["fields.csv"]
+        assert load_fields_csv(fields).fields.shape == (60, 8)
+
+    @pytest.mark.parametrize("cols, n, error", [([0, 1, 0], 2, "sample 1 lists station 'S1' more than once"),
+                                                ([0, 1], 0, "no field rows")])
+    def test_verify_fails_as_before_where_no_cache_is_written(self, workspace, tmp_path, capsys, cols, n, error):
+        ids = load_data_dir(workspace / "data").stations.ids
+        path = tmp_path / "fields.csv"
+        save_fields_csv(ForecastFieldSample([ids[c] for c in cols], np.full((n, len(cols)), 15.0), "independent"),
+                        path)
+        assert [p.name for p in tmp_path.iterdir()] == ["fields.csv"]
+        assert self.verify(workspace, path, tmp_path / "scores") == 1
+        assert f"error: {path}: {error}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["fields.csv"]
 
 
 class TestErrorPaths:

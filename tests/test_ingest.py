@@ -1,15 +1,21 @@
 import gc
+import locale
 import os
 import re
 import shutil
+import tempfile
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enspost import ingest
-from enspost.core import EnsembleDataset, ForecastFieldSample, Station, StationSet
+from enspost.core import PROVENANCE_TAGS, EnsembleDataset, ForecastFieldSample, Station, StationSet
 from enspost.ingest import (
     CACHE_FILE,
     DATA_FILES,
@@ -248,9 +254,21 @@ class TestCsvWriter:
         assert got.read_bytes().startswith(
             b'sample,station_id,value_c,provenance\r\n1,"A,1",-0.0,grf-spatial\r\n1,"B""2",1e-05,grf-spatial\r\n'
             b'1, C,1e+16,grf-spatial\r\n2,"A,1",5e-324,grf-spatial\r\n')
-        back = load_fields_csv(got)
+        back = parse_fields(got)
         assert back.station_order == ODD_IDS
         assert back.fields.tobytes() == sample.fields.tobytes()
+
+
+def fields_cache(path):
+    """The cache file that save_fields_csv writes beside a fields CSV."""
+    return path.with_name(f".{path.name}.enspost-cache.npz")
+
+
+def parse_fields(path):
+    """load_fields_csv(path) by a parse: the cache that save_fields_csv left is deleted first."""
+    assert fields_cache(path).is_file()
+    fields_cache(path).unlink()
+    return load_fields_csv(path)
 
 
 def write_season(root, seed=5):
@@ -509,7 +527,7 @@ class TestChunkedReader:
         fields = np.random.default_rng(2).normal(12.0, 4.0, (7, 3))
         fields.flat[:4] = ODD_VALUES
         save_fields_csv(ForecastFieldSample(ODD_IDS, fields, "grf-spatial"), tmp_path / "fields.csv")
-        back = load_fields_csv(tmp_path / "fields.csv")
+        back = parse_fields(tmp_path / "fields.csv")
         assert back.station_order == ODD_IDS and back.fields.tobytes() == fields.tobytes()
 
     def test_dataset_parse_memory_is_bounded(self, tmp_path):
@@ -523,7 +541,130 @@ class TestChunkedReader:
         fields = np.random.default_rng(0).normal(12.0, 4.0, (2000, 100))
         ids = tuple(f"S{i}" for i in range(100))
         save_fields_csv(ForecastFieldSample(ids, fields, "grf-spatial"), tmp_path / "fields.csv")
-        assert traced_peak(lambda: load_fields_csv(tmp_path / "fields.csv")) <= 8 << 20
+        assert traced_peak(lambda: parse_fields(tmp_path / "fields.csv")) <= 8 << 20
+
+
+def forbid_fields_parse(monkeypatch):
+    def parse(path):
+        raise AssertionError("the fields CSV was parsed")
+    monkeypatch.setattr(ingest, "_parse_fields_csv", parse)
+
+
+def same_sample(a, b):
+    """Equal ids and provenance, float bits, C order and read-only flag."""
+    return (a.station_order == b.station_order and a.provenance == b.provenance
+            and a.fields.shape == b.fields.shape and a.fields.tobytes() == b.fields.tobytes()
+            and a.fields.flags.c_contiguous and b.fields.flags.c_contiguous
+            and not a.fields.flags.writeable and not b.fields.flags.writeable)
+
+
+EDGE_VALUES = ODD_VALUES + (-5e-324, 2.2250738585072014e-308, -1.7976931348623157e308, 1e308)  # subnormal, largest
+
+
+class TestFieldsCache:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.sampled_from(ODD_IDS) | st.text(st.characters(codec=locale.getpreferredencoding(False)),
+                                                         max_size=4),
+                     min_size=1, max_size=4, unique=True),
+        n_samples=st.integers(1, 3),
+        values=st.lists(st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=12, max_size=12),
+        order=st.sampled_from(["C", "F", "strided"]),
+        provenance=st.sampled_from(PROVENANCE_TAGS),
+    )
+    def test_hit_equals_parse(self, ids, n_samples, values, order, provenance):
+        fields = np.array(values[:n_samples * len(ids)]).reshape(n_samples, len(ids))
+        fields = {"C": fields, "F": np.asfortranarray(fields),
+                  "strided": np.repeat(fields, 2, axis=1)[:, ::2]}[order]
+        sample = ForecastFieldSample(ids, fields, provenance)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "fields.csv"
+            save_fields_csv(sample, path)
+            parsed = ingest._parse_fields_csv(path)
+            forbid_fields_parse(mp)
+            hit = load_fields_csv(path)
+        assert same_sample(hit, parsed)
+        assert parsed.station_order == sample.station_order and parsed.fields.tobytes() == fields.tobytes()
+
+    def test_same_size_edit_is_seen(self, tmp_path):
+        path = tmp_path / "fields.csv"
+        sample = ForecastFieldSample(("A", "B"), [[1.25, 2.5], [3.75, 4.5]], "grf-spatial")
+        save_fields_csv(sample, path)
+        old = path.stat()
+        path.write_bytes(path.read_bytes().replace(b"3.75", b"3.85"))
+        os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (old.st_size, old.st_mtime_ns)
+        got = load_fields_csv(path)
+        assert got.fields.tolist() == [[1.25, 2.5], [3.85, 4.5]]
+        assert same_sample(got, ingest._parse_fields_csv(path))
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_a_zip", "missing_array", "other_file", "dataset_cache"])
+    def test_damaged_or_foreign_cache_is_replaced(self, tmp_path, monkeypatch, damage):
+        path, other = tmp_path / "fields.csv", tmp_path / "other.csv"
+        save_fields_csv(ForecastFieldSample(ODD_IDS, np.arange(6.0).reshape(2, 3), "ecc"), path)
+        save_fields_csv(ForecastFieldSample(("A",), [[9.0]], "independent"), other)
+        cache = fields_cache(path)
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+        elif damage == "not_a_zip":
+            cache.write_bytes(b"not a zip file\n")
+        elif damage == "missing_array":
+            with np.load(cache) as z:
+                kept = {k: z[k] for k in z.files if k != "fields"}
+            with open(cache, "wb") as fh:
+                np.savez(fh, **kept)
+        elif damage == "other_file":
+            shutil.copyfile(fields_cache(other), cache)
+        else:
+            write_season(tmp_path / "data")
+            load_data_dir(tmp_path / "data")
+            shutil.copyfile(tmp_path / "data" / CACHE_FILE, cache)
+        parsed = ingest._parse_fields_csv(path)
+        assert same_sample(load_fields_csv(path), parsed)
+        forbid_fields_parse(monkeypatch)
+        assert same_sample(load_fields_csv(path), parsed)
+        assert load_fields_csv(other).fields.tolist() == [[9.0]]
+
+    def test_cache_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        # a rerun writes the same bytes: the zip members carry a fixed date, not the clock's
+        sample = ForecastFieldSample(("A", "B"), [[1.0, 2.0]], "grf-spatial")
+        for name, now in (("a", 1.7e9), ("b", 1.7e9 + 86400.5)):
+            (tmp_path / name).mkdir()
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            save_fields_csv(sample, tmp_path / name / "fields.csv")
+        caches = [fields_cache(tmp_path / name / "fields.csv").read_bytes() for name in "ab"]
+        assert caches[0] == caches[1]
+
+    @pytest.mark.parametrize("ids, fields, error", [
+        (("A", "B", "A"), np.ones((2, 3)), "sample 1 lists station 'A' more than once"),
+        (("A", "B"), np.ones((0, 2)), "no field rows"),
+        ((), np.ones((2, 0)), "no field rows"),
+    ])
+    def test_no_cache_when_the_parse_would_differ(self, tmp_path, ids, fields, error):
+        path = tmp_path / "fields.csv"
+        save_fields_csv(ForecastFieldSample(ids, fields, "independent"), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fields.csv"]
+        for _ in range(2):
+            with pytest.raises(LoadError) as got:
+                load_fields_csv(path)
+            assert str(got.value) == f"{path}: {error}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fields.csv"]
+
+    def test_unwritable_cache_is_skipped(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "read-only", str(dst))
+        monkeypatch.setattr(ingest.os, "replace", refuse)
+        path = tmp_path / "fields.csv"
+        sample = ForecastFieldSample(("A", "B"), [[1.0, 2.0]], "grf-spatial")
+        save_fields_csv(sample, path)
+        assert same_sample(load_fields_csv(path), ingest._parse_fields_csv(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fields.csv"]
+
+    def test_no_cache_beside_a_file_that_is_not_regular(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest.stat, "S_ISREG", lambda mode: False)  # as for /dev/stdout or a FIFO
+        save_fields_csv(ForecastFieldSample(("A",), [[1.0]], "independent"), tmp_path / "fields.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fields.csv"]
 
 
 class TestRollingWindows:

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +500,21 @@ class TestCompositeAndThreshold:
         sample = ForecastFieldSample(("A", "B", "C"), fields, "independent")
         np.testing.assert_array_equal(composite_minimum(sample), [1.0, 2.0])
         np.testing.assert_array_equal(composite_minimum(sample, ["B", "C"]), [3.0, 2.0])
+
+    def test_composite_minimum_over_every_station_copies_no_columns(self):
+        # fields[:, cols] copied the 8 MB array for the default region, the whole station order
+        fields = np.random.default_rng(0).normal(12.0, 4.0, (10_000, 100))
+        sample = ForecastFieldSample(tuple(f"S{j}" for j in range(100)), fields, "grf-spatial")
+        want = fields[:, np.arange(100)].min(axis=1)  # the copy's minima
+        for subset in (None, list(sample.station_order)):
+            tracemalloc.start()
+            try:
+                got = composite_minimum(sample, subset)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == want.tobytes()
+            assert peak <= 1 << 20
 
     def test_composite_minimum_unknown_station(self):
         sample = ForecastFieldSample(("A",), np.zeros((2, 1)), "independent")
